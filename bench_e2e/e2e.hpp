@@ -62,6 +62,12 @@ struct Workload
     bool diskCache = false;   ///< naqcd --cache-dir (fresh per daemon)
     std::size_t cacheCapacity = 4096; ///< naqcd --cache-capacity
     double requestDeadlineS = 60.0;   ///< unanswered after this = failed
+    /**
+     * Sample naqcd's VmHWM once this many requests are answered; 0 =
+     * at the window's end. naqcd's memory grows with the requests it
+     * has served, so a fixed count keeps host speed out of the figure.
+     */
+    std::uint64_t rssAfterAnswers = 0;
 };
 
 /** Throws FatalError for an unknown name. */
@@ -164,8 +170,11 @@ struct WindowResult
     std::uint64_t failed = 0;
     std::vector<std::string> failures; ///< why checks failed
     double wallSeconds = 0.0;   ///< first send to last answer
-    std::vector<double> setupSeconds; ///< spawn to first pong, each
-    double peakRssMb = 0.0;     ///< naqcd VmHWM at window end
+    double daemonCpuSeconds = 0.0; ///< naqcd CPU time over the window
+    std::vector<double> setupSeconds; ///< naqcd CPU to its first pong
+    std::vector<double> setupWallSeconds; ///< spawn to first pong
+    double peakRssMb = 0.0;     ///< naqcd VmHWM (Workload::rssAfterAnswers)
+    std::uint64_t rssAnswers = 0; ///< answers served when it was sampled
     double stealShare = 0.0;    ///< host CPU steal over the window
     std::vector<std::size_t> sentPerConnection;
     long reloadAfter = -1;      ///< connection 0 jobs before reload

@@ -54,6 +54,9 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
+    # A SIGTERM (a harness timeout) must still reach the finally below,
+    # which kills naqc_e2e's process group, naqcd included.
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(143))
     if not build():
         return 3
     work = os.path.join(BUILD, "run-%d" % os.getpid())

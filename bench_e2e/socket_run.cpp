@@ -7,6 +7,7 @@
  */
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <filesystem>
@@ -21,6 +22,7 @@
 #include <spawn.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
+#include <time.h>
 #include <unistd.h>
 
 #include "e2e.hpp"
@@ -238,9 +240,29 @@ submit(Connection &conn, const Job &job, Clock::time_point deadline)
     return r;
 }
 
-/** Spawn naqcd and time it until its first answered ping. */
+/**
+ * CPU seconds `pid` has used so far, all threads. The kernel leaves
+ * time the hypervisor stole out of it, unlike wall time.
+ */
+double
+cpuSeconds(pid_t pid)
+{
+    clockid_t clock;
+    timespec ts{};
+    if (::clock_getcpuclockid(pid, &clock) != 0 ||
+        ::clock_gettime(clock, &ts) != 0)
+        return 0.0;
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+/**
+ * Spawn naqcd and time it until its first answered ping, in wall
+ * seconds and in naqcd CPU seconds.
+ */
 std::unique_ptr<DaemonProcess>
-spawnReady(const Workload &w, const std::string &naqcd, double &setup_s)
+spawnReady(const Workload &w, const std::string &naqcd, double &wall_s,
+           double &cpu_s)
 {
     std::vector<std::string> args = {
         "--socket", kSocket, "--topology", w.topology, "--threads", "2",
@@ -259,7 +281,8 @@ spawnReady(const Workload &w, const std::string &naqcd, double &setup_s)
             if (conn->send("ping\n") &&
                 conn->readLine(reply, t0 + std::chrono::seconds(60)) &&
                 reply == "ok pong") {
-                setup_s = secondsSince(t0);
+                wall_s = secondsSince(t0);
+                cpu_s = cpuSeconds(child->pid());
                 return child;
             }
         }
@@ -301,6 +324,15 @@ peakRssMb(pid_t pid)
     return kb / 1024.0;
 }
 
+/** The answer count a window's connections share, for the RSS sample. */
+struct RssProbe
+{
+    pid_t daemon = -1;
+    std::uint64_t after = 0; ///< Workload::rssAfterAnswers
+    std::atomic<std::uint64_t> answered{0};
+    double mb = 0.0; ///< set by the connection whose answer hit `after`
+};
+
 /** What one connection saw; merged into the WindowResult. */
 struct ConnectionLog
 {
@@ -316,7 +348,7 @@ struct ConnectionLog
 void
 driveConnection(const Workload &w, std::uint64_t seed, int index,
                 Clock::time_point start, double seconds,
-                const Topology &topo,
+                const Topology &topo, RssProbe &rss,
                 ConnectionLog &log)
 {
     const auto end = after(start, seconds);
@@ -370,6 +402,8 @@ driveConnection(const Workload &w, std::uint64_t seed, int index,
             break; // the connection is unusable now
         }
         log.lastAnswer = t1;
+        if (++rss.answered == rss.after)
+            rss.mb = peakRssMb(rss.daemon);
         log.latencies.push_back(
             std::chrono::duration<double>(t1 - t0).count());
         const std::string why = checkResponse(r, topo);
@@ -399,16 +433,17 @@ runSocketWindow(const Workload &w, std::uint64_t seed, double seconds,
 {
     WindowResult out;
     std::unique_ptr<DaemonProcess> child;
-    // Set-up time drifts with the host's state over tens of seconds, so
-    // half the spawns come before the window and half after it. The
-    // last spawn before the window serves the workload.
+    // The host's state drifts over tens of seconds, so half the spawns
+    // come before the window and half after it. The last spawn before
+    // the window serves the workload.
     auto sampleSetups = [&](int count) {
         for (int i = 0; i < count; ++i) {
             if (child)
                 child->stop();
-            double s = 0.0;
-            child = spawnReady(w, naqcd, s);
-            out.setupSeconds.push_back(s);
+            double wall = 0.0, cpu = 0.0;
+            child = spawnReady(w, naqcd, wall, cpu);
+            out.setupWallSeconds.push_back(wall);
+            out.setupSeconds.push_back(cpu);
         }
     };
     sampleSetups(kSetupSpawns / 2 + 1);
@@ -416,23 +451,30 @@ runSocketWindow(const Workload &w, std::uint64_t seed, double seconds,
     const Topology topo = topologyFromSpec(w.topology);
     std::vector<ConnectionLog> logs(
         static_cast<std::size_t>(w.connections));
+    RssProbe rss;
+    rss.daemon = child->pid();
+    rss.after = w.rssAfterAnswers;
     const auto jiffies0 = cpuJiffies();
+    const double cpu0 = cpuSeconds(child->pid());
     const auto start = Clock::now();
     {
         std::vector<std::thread> clients;
         for (int c = 0; c < w.connections; ++c)
             clients.emplace_back([&, c] {
-                driveConnection(w, seed, c, start, seconds, topo,
+                driveConnection(w, seed, c, start, seconds, topo, rss,
                                 logs[static_cast<std::size_t>(c)]);
             });
         for (std::thread &t : clients)
             t.join();
     }
+    out.daemonCpuSeconds = cpuSeconds(child->pid()) - cpu0;
     const auto jiffies1 = cpuJiffies();
     const double dt = jiffies1.first - jiffies0.first;
     out.stealShare =
         dt > 0 ? (jiffies1.second - jiffies0.second) / dt : 0.0;
-    out.peakRssMb = peakRssMb(child->pid());
+    const bool sampled = rss.mb > 0.0;
+    out.peakRssMb = sampled ? rss.mb : peakRssMb(child->pid());
+    out.rssAnswers = sampled ? rss.after : rss.answered.load();
     const bool died = !child->alive();
     child->stop();
     out.daemonExit = child->exitDescription();
