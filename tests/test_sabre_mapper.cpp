@@ -2,9 +2,10 @@
  * @file
  * SABRE placement-refinement tests: determinism (repeated runs and
  * 8-thread service batches), the improve-or-tie guarantee against the
- * GreedyE*+track seed on the Table 2 set, non-grid smoke (heavy-hex,
- * ring, edge-list), composition with the standard list-scheduling
- * passes, and pipeline-vs-legacy equivalence.
+ * GreedyE*+track seed on the Table 2 set, output goldens on
+ * heuristic_stream-shaped programs, non-grid smoke (heavy-hex, ring,
+ * edge-list), composition with the standard list-scheduling passes,
+ * and pipeline-vs-legacy equivalence.
  *
  * The refinement keeps the best layout by tracking-router predicted
  * success and the seed layout is itself a candidate, so Sabre can
@@ -20,12 +21,14 @@
 #include "service/compile_service.hpp"
 #include "service/fingerprints.hpp"
 #include "test_util.hpp"
+#include "workloads/random_circuits.hpp"
 
 namespace qc {
 namespace {
 
 using test::env;
 using test::kSeed;
+using test::opStreamHash;
 
 std::shared_ptr<const Machine>
 machineFor(const Topology &topo)
@@ -126,6 +129,89 @@ TEST(SabrePlacement, ImprovesOrTiesGreedyTrackOnTable2)
     // The refinement must actually move the needle somewhere on the
     // set, not just echo its seed everywhere.
     EXPECT_GE(improved, 1);
+}
+
+/**
+ * heuristic_stream-shaped programs (bench_e2e): 16-48 qubits,
+ * 256-2048 gates, universal-set and 60%-CNOT, pinned by their Sabre
+ * layout (FNV-1a of the vector), predicted success (exact) and timed
+ * op stream. Captured from the code just before the SWAP search was
+ * reworked for speed; any change to a candidate's score, the tie set
+ * or the tie-break draws shows up here.
+ */
+struct StreamGolden
+{
+    const char *topology;
+    int day;
+    bool denseCnot;
+    int qubits;
+    int gates;
+    std::uint64_t seed;
+    std::uint64_t layoutHash;
+    double predictedSuccess;
+    std::uint64_t opsHash;
+};
+
+const StreamGolden kStreamGoldens[] = {
+    {"grid:8x8", 0, false, 16, 256, 11, 0x999266ff04e79673ull,
+     0x1.527b79e7c3ec9p-9, 0x46de23dc917dd4c3ull},
+    {"grid:8x8", 0, true, 48, 2048, 12, 0x9ee62a43b0b2c7d5ull,
+     0x1.1ad30d3626f95p-650, 0xc022d562285777a9ull},
+    {"grid:8x8", 0, false, 48, 2048, 13, 0x70a72b1b3f96a15aull,
+     0x1.7f44cbb427f41p-148, 0xd78b4b4a6c7a4150ull},
+    {"grid:8x8", 0, true, 32, 1024, 14, 0x7a82a09124db40c3ull,
+     0x1.813aaf92daa7p-243, 0x8f7727e5c37b076full},
+    {"grid:8x8", 1, false, 16, 256, 11, 0x862df6b7ea816cbcull,
+     0x1.5779cebc183e8p-10, 0xe1ae8d421c7666a8ull},
+    {"grid:8x8", 1, true, 48, 2048, 12, 0x5d77dd65462d4481ull,
+     0x1.21e17c1c71d84p-705, 0x440f189a7c7c16a1ull},
+    {"grid:8x8", 1, false, 48, 2048, 13, 0xbc6c3e2eec3d0109ull,
+     0x1.46df56a18a7b6p-160, 0xe3b26831587fe72dull},
+    {"grid:8x8", 1, true, 32, 1024, 14, 0x93fd5769798eb1a9ull,
+     0x1.1da2b27e20678p-286, 0x4cd68a0db79aef31ull},
+    {"heavyhex:5", 0, false, 40, 1536, 21, 0x6d094a2a1d32470dull,
+     0x1.b778da1da2522p-180, 0x342bee2351f0041aull},
+    {"heavyhex:5", 0, true, 24, 512, 22, 0xd203e5b7278b7a0cull,
+     0x1.089800e999883p-194, 0x2157da9a67feb695ull},
+    {"heavyhex:5", 0, false, 48, 768, 23, 0x9877fd5db29edd62ull,
+     0x1.15745adb33e83p-82, 0x08275d23dd088a25ull},
+    {"heavyhex:5", 0, true, 48, 1024, 24, 0xd70d01ec1a7afaa1ull,
+     0x1.4e6c11eea94d7p-632, 0xc94bc4fee6833b48ull},
+    {"ring:16", 0, false, 16, 2048, 31, 0x1850b5aace9afe35ull,
+     0x1.d68dc9dc16288p-195, 0xa3f805273fd55825ull},
+    {"ring:16", 0, true, 16, 1024, 32, 0x7fdd318b427a5e15ull,
+     0x1.6db277e7c2c94p-415, 0xa41a3c2ae6c3e392ull},
+    {"ring:16", 0, false, 16, 512, 33, 0xeb61d83e75ac2875ull,
+     0x1.2d19ec7964e3p-32, 0xb2f12cd6d5ca8b6aull},
+    {"ring:16", 0, true, 16, 256, 34, 0xfb5d771f90d13695ull,
+     0x1.92a9c6a6088f8p-110, 0x331946784fbc19bbull},
+};
+
+TEST(SabrePlacement, StreamProgramsMatchGoldens)
+{
+    for (const StreamGolden &g : kStreamGoldens) {
+        SCOPED_TRACE(std::string(g.topology) + " day " +
+                     std::to_string(g.day) +
+                     (g.denseCnot ? " dense " : " random ") +
+                     std::to_string(g.qubits) + "q " +
+                     std::to_string(g.gates) + "g");
+        Topology topo = topologyFromSpec(g.topology);
+        CalibrationModel model(topo, kSeed);
+        auto machine =
+            std::make_shared<const Machine>(topo, model.forDay(g.day));
+        Circuit prog =
+            g.denseCnot
+                ? makeDenseCnotCircuit(g.qubits, g.gates, g.seed, 600)
+                : makeRandomCircuit({g.qubits, g.gates, g.seed, true});
+        PipelineResult r = standardPipeline(machine, sabreOptions())
+                               .run(prog);
+        ASSERT_TRUE(r.ok()) << r.status.message;
+        Fingerprint layout;
+        layout.mixVector(r.program.layout);
+        EXPECT_EQ(layout.value(), g.layoutHash);
+        EXPECT_EQ(r.program.predictedSuccess, g.predictedSuccess);
+        EXPECT_EQ(opStreamHash(r.program.schedule), g.opsHash);
+    }
 }
 
 class SabreNonGrid : public ::testing::TestWithParam<const char *>

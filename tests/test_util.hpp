@@ -12,6 +12,7 @@
 #include "core/experiment.hpp"
 #include "route/routing.hpp"
 #include "sched/schedule.hpp"
+#include "support/fingerprint.hpp"
 #include "support/logging.hpp"
 
 namespace qc::test {
@@ -32,6 +33,30 @@ inline Machine
 day0()
 {
     return env().machineForDay(0);
+}
+
+/**
+ * FNV-1a digest of a schedule's full timed op stream (makespan, every
+ * op's gate, operands, timing, provenance and SWAP flag): the identity
+ * the output goldens pin.
+ */
+inline std::uint64_t
+opStreamHash(const Schedule &s)
+{
+    Fingerprint fp;
+    fp.mix(s.numHwQubits).mix(static_cast<std::int64_t>(s.makespan));
+    fp.mix(static_cast<std::uint64_t>(s.ops.size()));
+    for (const auto &op : s.ops) {
+        fp.mix(static_cast<int>(op.gate.op))
+            .mix(op.gate.q0)
+            .mix(op.gate.q1)
+            .mix(op.gate.cbit)
+            .mix(static_cast<std::int64_t>(op.start))
+            .mix(static_cast<std::int64_t>(op.duration))
+            .mix(op.progGate)
+            .mix(op.isRouteSwap);
+    }
+    return fp.value();
 }
 
 /**
