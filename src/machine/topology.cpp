@@ -1,7 +1,6 @@
 #include "topology.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <sstream>
@@ -36,8 +35,7 @@ Topology::Topology(TopologyKind kind, int num_qubits,
     if (numQubits_ <= 0)
         QC_FATAL("topology '", name_, "' must have at least one qubit");
     validateAndIndex();
-    if (!isGrid())
-        buildDistanceTable();
+    buildDistanceTable();
 }
 
 void
@@ -115,38 +113,11 @@ Topology::buildDistanceTable()
     }
 }
 
-int
-Topology::distance(HwQubit a, HwQubit b) const
-{
-    QC_ASSERT(a >= 0 && a < numQubits_ && b >= 0 && b < numQubits_,
-              "distance endpoints out of range");
-    if (isGrid()) {
-        // L1 fast path: hop distance == Manhattan distance on grids.
-        return std::abs(a / cols_ - b / cols_) +
-               std::abs(a % cols_ - b % cols_);
-    }
-    return dist_[static_cast<size_t>(a) * numQubits_ + b];
-}
-
-bool
-Topology::adjacent(HwQubit a, HwQubit b) const
-{
-    return edgeBetween(a, b) != kInvalidEdge;
-}
-
 const std::vector<HwQubit> &
 Topology::neighbors(HwQubit h) const
 {
     QC_ASSERT(h >= 0 && h < numQubits_, "qubit ", h, " out of range");
     return neighbors_[h];
-}
-
-EdgeId
-Topology::edgeBetween(HwQubit a, HwQubit b) const
-{
-    QC_ASSERT(a >= 0 && a < numQubits_ && b >= 0 && b < numQubits_,
-              "edge endpoints out of range");
-    return edgeLookup_[a][b];
 }
 
 int

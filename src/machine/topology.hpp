@@ -10,8 +10,7 @@
  *
  *  - `Topology` is the concrete coupling-graph interface every layer
  *    compiles against: qubit count, neighbors, edges with stable ids,
- *    and hop distance (cached all-pairs BFS, with the grid's O(1)
- *    L1-distance fast path preserved).
+ *    and hop distance (an all-pairs BFS table built at construction).
  *  - `GridTopology` is the paper's grid as one implementation, joined
  *    by `HeavyHexTopology`, `RingTopology`, `LinearTopology`, and a
  *    `GraphTopology` loaded from an edge list.
@@ -27,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "support/logging.hpp"
 #include "support/types.hpp"
 
 namespace qc {
@@ -65,10 +65,10 @@ const char *topologyKindName(TopologyKind k);
  * A connected, undirected coupling graph over qubits [0, numQubits).
  *
  * Edges each carry a stable `EdgeId` (calibration vectors are indexed
- * by it), listed once with a < b. `distance` is the hop distance:
- * grids answer it with the L1 formula (no table), every other kind
- * precomputes all-pairs BFS at construction so lookups during mapping
- * are O(1) either way.
+ * by it), listed once with a < b. `distance` is the hop distance,
+ * read from an all-pairs BFS table built at construction, so lookups
+ * during mapping are one load on every kind (on grids the table
+ * equals the paper's L1 distance).
  *
  * Construction validates the graph (ids in range, no self-loops or
  * duplicate edges, connected) and fails fast with FatalError
@@ -84,10 +84,18 @@ class Topology
     int numEdges() const { return static_cast<int>(edges_.size()); }
 
     /** Hop distance between two qubits (== L1 distance on grids). */
-    int distance(HwQubit a, HwQubit b) const;
+    int distance(HwQubit a, HwQubit b) const
+    {
+        QC_ASSERT(a >= 0 && a < numQubits_ && b >= 0 && b < numQubits_,
+                  "distance endpoints out of range");
+        return dist_[static_cast<size_t>(a) * numQubits_ + b];
+    }
 
     /** True if a and b are coupled. */
-    bool adjacent(HwQubit a, HwQubit b) const;
+    bool adjacent(HwQubit a, HwQubit b) const
+    {
+        return edgeBetween(a, b) != kInvalidEdge;
+    }
 
     /** Neighbors of h in increasing id order. */
     const std::vector<HwQubit> &neighbors(HwQubit h) const;
@@ -96,7 +104,12 @@ class Topology
     const std::vector<CouplingEdge> &edges() const { return edges_; }
 
     /** Edge id joining a and b, or kInvalidEdge. */
-    EdgeId edgeBetween(HwQubit a, HwQubit b) const;
+    EdgeId edgeBetween(HwQubit a, HwQubit b) const
+    {
+        QC_ASSERT(a >= 0 && a < numQubits_ && b >= 0 && b < numQubits_,
+                  "edge endpoints out of range");
+        return edgeLookup_[a][b];
+    }
 
     const CouplingEdge &edge(EdgeId e) const { return edges_[e]; }
 
@@ -141,7 +154,7 @@ class Topology
     std::vector<CouplingEdge> edges_;
     std::vector<std::vector<HwQubit>> neighbors_;
     std::vector<std::vector<EdgeId>> edgeLookup_;
-    std::vector<int> dist_; ///< all-pairs BFS (empty for grids)
+    std::vector<int> dist_; ///< all-pairs BFS, row-major
 };
 
 /**

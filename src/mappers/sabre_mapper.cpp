@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <sstream>
 #include <utility>
@@ -54,27 +55,51 @@ cnotSequence(const Circuit &prog)
  * refinement direction); the emitted movement itself is discarded —
  * the downstream scheduling pass re-routes from the chosen initial
  * layout.
+ *
+ * A SWAP step costs a fraction of a from-scratch scoring. Each edge's
+ * -log reliability and the lookahead decay weights with their running
+ * sums are tabulated once per compile; the front layer and lookahead
+ * window change only when a gate retires. Each step snapshots the
+ * front and window gates' endpoints, and a candidate exchange then
+ * re-measures only the gates with an endpoint on the swapped pair:
+ * the front sum is kept in integers (exact, so equal to summing the
+ * hop counts as doubles in any order), and the window sum resumes
+ * from its running value just before the first touched gate. Every
+ * score is therefore bit-identical to summing all terms afresh in
+ * window order, and so are the tie sets and tie-break draws.
  */
 class SabreRoutePass
 {
   public:
     SabreRoutePass(const Machine &machine, const SabreOptions &options,
-                   Rng &rng)
-        : machine_(machine), topo_(machine.topo()), options_(options),
-          rng_(rng)
-    {
-    }
+                   Rng &rng, size_t num_cnots);
 
     std::vector<HwQubit> run(const std::vector<CnotPair> &cnots,
                              std::vector<HwQubit> layout);
 
   private:
+    /** A front gate's endpoints and their hop distance. */
+    struct FrontGate
+    {
+        HwQubit a;
+        HwQubit b;
+        int distance;
+    };
+
+    /** A window gate's endpoints, its decayed term and the sum before it. */
+    struct WindowGate
+    {
+        HwQubit a;
+        HwQubit b;
+        double term;
+        double sumBefore;
+    };
+
     /** CNOT indices per qubit, with a per-qubit progress pointer. */
     void buildQueues(const std::vector<CnotPair> &cnots, int n_prog);
 
     /** Front layer: next pending CNOT on *both* of its qubits. */
-    std::vector<int> collectFront(const std::vector<CnotPair> &cnots)
-        const;
+    void collectFront(const std::vector<CnotPair> &cnots);
 
     /** Retire gate g: advance both endpoint pointers past it. */
     void retire(int g, const std::vector<CnotPair> &cnots);
@@ -83,15 +108,16 @@ class SabreRoutePass
      * First `options_.lookahead` pending CNOTs beyond the front
      * layer, in program order.
      */
-    std::vector<int> lookaheadWindow(const std::vector<int> &front,
-                                     const std::vector<CnotPair> &cnots)
-        const;
+    void collectWindow(const std::vector<CnotPair> &cnots);
 
-    double scoreSwap(HwQubit u, HwQubit v,
-                     const std::vector<int> &front,
-                     const std::vector<int> &window,
-                     const std::vector<CnotPair> &cnots,
-                     const std::vector<HwQubit> &layout) const;
+    /** Record the front and window gates' current endpoints. */
+    void snapshot(const std::vector<CnotPair> &cnots,
+                  const std::vector<HwQubit> &layout);
+
+    /** Coupling edges touching a front gate, in (a, b) order. */
+    void collectCandidates();
+
+    double scoreSwap(EdgeId e);
 
     void applySwap(HwQubit u, HwQubit v, std::vector<HwQubit> &layout);
 
@@ -100,12 +126,74 @@ class SabreRoutePass
     const SabreOptions &options_;
     Rng &rng_;
 
+    // Per compile.
+    std::vector<double> edgeCost_;  ///< -log reliability per EdgeId
+    std::vector<double> weight_;    ///< decay weight of window rank i
+    std::vector<double> weightSum_; ///< sum of the first k weights
+    std::vector<EdgeId> rankedEdges_;  ///< edges in (a, b) order
+    std::vector<std::vector<int>> edgeRanks_; ///< per qubit: its ranks
+
+    // Per pass.
     std::vector<std::vector<int>> qubitCnots_;
     std::vector<size_t> ptr_;
     std::vector<bool> done_;
     std::vector<ProgQubit> occupant_;
     int firstPending_ = 0;
+    std::vector<int> front_;
+    std::vector<int> window_;
+
+    // Per SWAP step.
+    std::vector<FrontGate> frontGates_;
+    int frontSum_ = 0;
+    std::vector<int> frontAt_; ///< per qubit: front gate there, or -1
+    std::vector<WindowGate> windowGates_;
+    double windowSum_ = 0.0;
+    std::vector<std::vector<int>> windowAt_; ///< per qubit: window gates
+    std::vector<double> windowTerms_; ///< a candidate's window terms
+    std::vector<std::uint64_t> candidateBits_;
+    std::vector<EdgeId> candidates_;
+    std::vector<size_t> best_;
 };
+
+SabreRoutePass::SabreRoutePass(const Machine &machine,
+                               const SabreOptions &options, Rng &rng,
+                               size_t num_cnots)
+    : machine_(machine), topo_(machine.topo()), options_(options),
+      rng_(rng)
+{
+    for (EdgeId e = 0; e < topo_.numEdges(); ++e) {
+        edgeCost_.push_back(-std::log(machine_.cal().cnotReliability(e)));
+        rankedEdges_.push_back(e);
+    }
+    std::sort(rankedEdges_.begin(), rankedEdges_.end(),
+              [&](EdgeId x, EdgeId y) {
+                  const CouplingEdge &ex = topo_.edge(x);
+                  const CouplingEdge &ey = topo_.edge(y);
+                  return std::make_pair(ex.a, ex.b) <
+                         std::make_pair(ey.a, ey.b);
+              });
+    edgeRanks_.assign(topo_.numQubits(), {});
+    for (size_t r = 0; r < rankedEdges_.size(); ++r) {
+        const CouplingEdge &e = topo_.edge(rankedEdges_[r]);
+        edgeRanks_[e.a].push_back(static_cast<int>(r));
+        edgeRanks_[e.b].push_back(static_cast<int>(r));
+    }
+    candidateBits_.assign((rankedEdges_.size() + 63) / 64, 0);
+
+    // The window never holds more gates than the circuit has.
+    const size_t max_window =
+        std::min(static_cast<size_t>(options_.lookahead), num_cnots);
+    double weight = 1.0;
+    weightSum_.push_back(0.0);
+    for (size_t i = 0; i < max_window; ++i) {
+        weight_.push_back(weight);
+        weightSum_.push_back(weightSum_.back() + weight);
+        weight *= options_.decay;
+    }
+
+    frontAt_.resize(topo_.numQubits());
+    windowAt_.resize(topo_.numQubits());
+}
 
 void
 SabreRoutePass::buildQueues(const std::vector<CnotPair> &cnots,
@@ -121,10 +209,10 @@ SabreRoutePass::buildQueues(const std::vector<CnotPair> &cnots,
     }
 }
 
-std::vector<int>
-SabreRoutePass::collectFront(const std::vector<CnotPair> &cnots) const
+void
+SabreRoutePass::collectFront(const std::vector<CnotPair> &cnots)
 {
-    std::vector<int> front;
+    front_.clear();
     for (ProgQubit q = 0; q < static_cast<int>(qubitCnots_.size());
          ++q) {
         if (ptr_[q] >= qubitCnots_[q].size())
@@ -136,10 +224,9 @@ SabreRoutePass::collectFront(const std::vector<CnotPair> &cnots) const
             continue;
         ProgQubit other = c.a == q ? c.b : c.a;
         if (qubitCnots_[other][ptr_[other]] == g)
-            front.push_back(g);
+            front_.push_back(g);
     }
-    std::sort(front.begin(), front.end());
-    return front;
+    std::sort(front_.begin(), front_.end());
 }
 
 void
@@ -150,67 +237,127 @@ SabreRoutePass::retire(int g, const std::vector<CnotPair> &cnots)
     ++ptr_[cnots[g].b];
 }
 
-std::vector<int>
-SabreRoutePass::lookaheadWindow(const std::vector<int> &front,
-                                const std::vector<CnotPair> &cnots)
-    const
+void
+SabreRoutePass::collectWindow(const std::vector<CnotPair> &cnots)
 {
-    std::vector<int> window;
-    if (options_.lookahead <= 0)
-        return window;
+    window_.clear();
     for (int g = firstPending_;
          g < static_cast<int>(cnots.size()) &&
-         static_cast<int>(window.size()) < options_.lookahead;
+         window_.size() < weight_.size();
          ++g) {
         if (done_[g] ||
-            std::binary_search(front.begin(), front.end(), g))
+            std::binary_search(front_.begin(), front_.end(), g))
             continue;
-        window.push_back(g);
+        window_.push_back(g);
     }
-    return window;
+}
+
+void
+SabreRoutePass::snapshot(const std::vector<CnotPair> &cnots,
+                         const std::vector<HwQubit> &layout)
+{
+    std::fill(frontAt_.begin(), frontAt_.end(), -1);
+    frontGates_.clear();
+    frontSum_ = 0;
+    for (int g : front_) {
+        FrontGate f{layout[cnots[g].a], layout[cnots[g].b], 0};
+        f.distance = topo_.distance(f.a, f.b);
+        frontAt_[f.a] = frontAt_[f.b] =
+            static_cast<int>(frontGates_.size());
+        frontGates_.push_back(f);
+        frontSum_ += f.distance;
+    }
+
+    for (const WindowGate &w : windowGates_) {
+        windowAt_[w.a].clear();
+        windowAt_[w.b].clear();
+    }
+    windowGates_.clear();
+    windowTerms_.clear();
+    windowSum_ = 0.0;
+    for (size_t i = 0; i < window_.size(); ++i) {
+        const CnotPair &c = cnots[window_[i]];
+        WindowGate w{layout[c.a], layout[c.b], 0.0, windowSum_};
+        w.term = weight_[i] * topo_.distance(w.a, w.b);
+        windowAt_[w.a].push_back(static_cast<int>(i));
+        windowAt_[w.b].push_back(static_cast<int>(i));
+        windowGates_.push_back(w);
+        windowTerms_.push_back(w.term);
+        windowSum_ += w.term;
+    }
+}
+
+void
+SabreRoutePass::collectCandidates()
+{
+    // Mark the rank of every edge touching a front gate, then read the
+    // ranks back in order: deduplicated and (a, b)-ordered, no sort.
+    std::fill(candidateBits_.begin(), candidateBits_.end(), 0);
+    for (const FrontGate &f : frontGates_)
+        for (HwQubit h : {f.a, f.b})
+            for (int r : edgeRanks_[h])
+                candidateBits_[r / 64] |= std::uint64_t{1} << (r % 64);
+    candidates_.clear();
+    for (size_t w = 0; w < candidateBits_.size(); ++w)
+        for (std::uint64_t bits = candidateBits_[w]; bits != 0;
+             bits &= bits - 1)
+            candidates_.push_back(
+                rankedEdges_[w * 64 + __builtin_ctzll(bits)]);
 }
 
 double
-SabreRoutePass::scoreSwap(HwQubit u, HwQubit v,
-                          const std::vector<int> &front,
-                          const std::vector<int> &window,
-                          const std::vector<CnotPair> &cnots,
-                          const std::vector<HwQubit> &layout) const
+SabreRoutePass::scoreSwap(EdgeId e)
 {
-    auto moved = [&](ProgQubit p) -> HwQubit {
-        HwQubit h = layout[p];
-        if (h == u)
-            return v;
-        if (h == v)
-            return u;
-        return h;
+    const HwQubit u = topo_.edge(e).a;
+    const HwQubit v = topo_.edge(e).b;
+    auto moved_distance = [&](HwQubit a, HwQubit b) {
+        auto moved = [&](HwQubit h) {
+            return h == u ? v : h == v ? u : h;
+        };
+        return topo_.distance(moved(a), moved(b));
     };
+    // Only the (at most two) front gates sitting on u or v move.
+    int front_sum = frontSum_;
+    const int fu = frontAt_[u];
+    const int fv = frontAt_[v];
+    for (int i : {fu, fv == fu ? -1 : fv}) {
+        if (i >= 0)
+            front_sum += moved_distance(frontGates_[i].a,
+                                        frontGates_[i].b) -
+                         frontGates_[i].distance;
+    }
+    const double front_cost = static_cast<double>(front_sum) /
+                              static_cast<double>(frontGates_.size());
 
-    double front_cost = 0.0;
-    for (int g : front)
-        front_cost += topo_.distance(moved(cnots[g].a),
-                                     moved(cnots[g].b));
-    front_cost /= static_cast<double>(front.size());
-
+    // The window sum resumes just before its first gate on u or v,
+    // adding the same terms in the same order as a full rescan.
     double look_cost = 0.0;
-    if (!window.empty()) {
-        double weight = 1.0;
-        double weight_sum = 0.0;
-        for (int g : window) {
-            look_cost += weight * topo_.distance(moved(cnots[g].a),
-                                                 moved(cnots[g].b));
-            weight_sum += weight;
-            weight *= options_.decay;
+    if (!windowGates_.empty()) {
+        const std::vector<int> &at_u = windowAt_[u];
+        const std::vector<int> &at_v = windowAt_[v];
+        const size_t k = windowGates_.size();
+        const size_t first =
+            std::min(at_u.empty() ? k : static_cast<size_t>(at_u[0]),
+                     at_v.empty() ? k : static_cast<size_t>(at_v[0]));
+        double sum = windowSum_;
+        if (first < k) {
+            for (const std::vector<int> *at : {&at_u, &at_v})
+                for (int i : *at)
+                    windowTerms_[i] =
+                        weight_[i] * moved_distance(windowGates_[i].a,
+                                                    windowGates_[i].b);
+            sum = windowGates_[first].sumBefore;
+            for (size_t i = first; i < k; ++i)
+                sum += windowTerms_[i];
+            for (const std::vector<int> *at : {&at_u, &at_v})
+                for (int i : *at)
+                    windowTerms_[i] = windowGates_[i].term;
         }
-        look_cost /= weight_sum;
+        look_cost = sum / weightSum_[k];
     }
 
-    EdgeId e = topo_.edgeBetween(u, v);
-    QC_ASSERT(e != kInvalidEdge, "sabre swap candidate on non-edge");
-    double edge_cost = -std::log(machine_.cal().cnotReliability(e));
-
     return front_cost + options_.lookaheadWeight * look_cost +
-           options_.reliabilityWeight * edge_cost;
+           options_.reliabilityWeight * edgeCost_[e];
 }
 
 void
@@ -240,16 +387,18 @@ SabreRoutePass::run(const std::vector<CnotPair> &cnots,
     const int stall_limit = 2 * topo_.numQubits() + 8;
     HwQubit last_a = kInvalidQubit, last_b = kInvalidQubit;
 
-    // The frontier only changes when a gate retires, never when a
-    // SWAP moves qubits, so it is recomputed exactly once per
-    // retirement round and reused across the SWAP search steps.
-    std::vector<int> front = collectFront(cnots);
+    // The frontier and the lookahead window only change when a gate
+    // retires, never when a SWAP moves qubits, so both are recomputed
+    // once per retirement round and reused across the SWAP steps.
+    collectFront(cnots);
+    collectWindow(cnots);
     while (executed < cnots.size()) {
         // Retire every executable front gate until a fixpoint.
+        bool retired = false;
         bool progressed = true;
         while (progressed) {
             progressed = false;
-            for (int g : front) {
+            for (int g : front_) {
                 if (!topo_.adjacent(layout[cnots[g].a],
                                     layout[cnots[g].b]))
                     continue;
@@ -258,26 +407,29 @@ SabreRoutePass::run(const std::vector<CnotPair> &cnots,
                 progressed = true;
             }
             if (progressed) {
+                retired = true;
                 stalled_swaps = 0;
                 last_a = last_b = kInvalidQubit;
                 while (firstPending_ <
                            static_cast<int>(cnots.size()) &&
                        done_[firstPending_])
                     ++firstPending_;
-                front = collectFront(cnots);
+                collectFront(cnots);
             }
         }
         if (executed == cnots.size())
             break;
+        if (retired)
+            collectWindow(cnots);
 
-        QC_ASSERT(!front.empty(), "sabre frontier empty with CNOTs "
-                                  "pending");
+        QC_ASSERT(!front_.empty(), "sabre frontier empty with CNOTs "
+                                   "pending");
 
         if (stalled_swaps >= stall_limit) {
             // Anti-livelock: force-route the oldest front gate along
             // the most reliable path, guaranteeing progress whatever
             // the heuristic landscape looks like.
-            const CnotPair &c = cnots[front.front()];
+            const CnotPair &c = cnots[front_.front()];
             std::vector<HwQubit> path =
                 machine_.mostReliablePath(layout[c.a], layout[c.b]);
             for (size_t k = 0; k + 2 < path.size(); ++k)
@@ -288,46 +440,36 @@ SabreRoutePass::run(const std::vector<CnotPair> &cnots,
         }
 
         // Candidate exchanges: every coupling edge touching a front
-        // gate's current position, deduplicated and id-ordered.
-        const std::vector<int> window = lookaheadWindow(front, cnots);
-        std::vector<std::pair<HwQubit, HwQubit>> candidates;
-        for (int g : front) {
-            for (HwQubit h : {layout[cnots[g].a], layout[cnots[g].b]})
-                for (HwQubit nb : topo_.neighbors(h))
-                    candidates.emplace_back(std::min(h, nb),
-                                            std::max(h, nb));
-        }
-        std::sort(candidates.begin(), candidates.end());
-        candidates.erase(
-            std::unique(candidates.begin(), candidates.end()),
-            candidates.end());
+        // gate's current position, deduplicated and (a, b)-ordered.
+        snapshot(cnots, layout);
+        collectCandidates();
 
         double best_score = std::numeric_limits<double>::infinity();
-        std::vector<size_t> best;
-        for (size_t i = 0; i < candidates.size(); ++i) {
-            auto [u, v] = candidates[i];
+        best_.clear();
+        for (size_t i = 0; i < candidates_.size(); ++i) {
+            const CouplingEdge &c = topo_.edge(candidates_[i]);
             // Never immediately undo the previous exchange unless it
             // is the only move available.
-            if (u == last_a && v == last_b && candidates.size() > 1)
+            if (c.a == last_a && c.b == last_b && candidates_.size() > 1)
                 continue;
-            double s = scoreSwap(u, v, front, window, cnots, layout);
+            double s = scoreSwap(candidates_[i]);
             if (s < best_score - 1e-12) {
                 best_score = s;
-                best.assign(1, i);
+                best_.assign(1, i);
             } else if (s < best_score + 1e-12) {
-                best.push_back(i);
+                best_.push_back(i);
             }
         }
-        QC_ASSERT(!best.empty(), "sabre swap search found no candidate");
+        QC_ASSERT(!best_.empty(), "sabre swap search found no candidate");
         size_t pick =
-            best.size() == 1
-                ? best.front()
-                : best[static_cast<size_t>(rng_.uniformInt(
-                      0, static_cast<int>(best.size()) - 1))];
-        auto [u, v] = candidates[pick];
-        applySwap(u, v, layout);
-        last_a = u;
-        last_b = v;
+            best_.size() == 1
+                ? best_.front()
+                : best_[static_cast<size_t>(rng_.uniformInt(
+                      0, static_cast<int>(best_.size()) - 1))];
+        const CouplingEdge &chosen = topo_.edge(candidates_[pick]);
+        applySwap(chosen.a, chosen.b, layout);
+        last_a = chosen.a;
+        last_b = chosen.b;
         ++stalled_swaps;
     }
 
@@ -376,7 +518,7 @@ sabrePlacementDetailed(const Machine &machine, const Circuit &prog,
     std::vector<CnotPair> backward(forward.rbegin(), forward.rend());
 
     Rng rng(options.seed, "sabre-ties");
-    SabreRoutePass router(machine, options, rng);
+    SabreRoutePass router(machine, options, rng, forward.size());
 
     std::vector<HwQubit> current = result.layout;
     for (int it = 0; it < options.iterations; ++it) {
