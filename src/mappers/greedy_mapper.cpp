@@ -240,14 +240,24 @@ greedyEdgePlacement(const Machine &machine, const Circuit &prog)
                     best_b = he.b;
                 }
             }
-            QC_ASSERT(best_a != kInvalidQubit,
-                      "no free hardware edge for program edge");
             // Orientation: the endpoint with more readouts gets the
             // better readout qubit.
             ProgQubit hi = pg.readoutCount(e.a) >= pg.readoutCount(e.b)
                                ? e.a
                                : e.b;
             ProgQubit lo = hi == e.a ? e.b : e.a;
+            if (best_a == kInvalidQubit) {
+                // No two free qubits are coupled any more (a nearly
+                // full machine): put the endpoints on free qubits
+                // apart and let routing connect them.
+                HwQubit loc = bestFreeReadout(machine_, used);
+                QC_ASSERT(loc != kInvalidQubit,
+                          "no free hardware qubit left");
+                layout[hi] = loc;
+                used[loc] = true;
+                attach_endpoint(lo);
+                continue;
+            }
             if (cal.readoutReliability(best_a) >=
                 cal.readoutReliability(best_b)) {
                 layout[hi] = best_a;

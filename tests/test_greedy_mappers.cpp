@@ -1,8 +1,9 @@
 /**
  * @file
  * Greedy heuristic tests (GreedyV*, GreedyE*): valid deterministic
- * layouts across all benchmarks, placement-policy behaviors, and the
- * shared attach helper.
+ * layouts across all benchmarks, placement-policy behaviors (including
+ * a full machine with no free coupling edge left), and the shared
+ * attach helper.
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,8 @@
 #include "ir/program_graph.hpp"
 #include "mappers/greedy_mapper.hpp"
 #include "test_util.hpp"
+#include "verify/verifier.hpp"
+#include "workloads/random_circuits.hpp"
 
 namespace qc {
 namespace {
@@ -131,6 +134,34 @@ TEST(GreedyMappers, HandleDisconnectedComponents)
     CompiledProgram cp = ge.compile(c);
     validateLayout(cp.layout, 6, m.numQubits());
     expectScheduleWellFormed(m, cp.schedule);
+}
+
+TEST(GreedyE, NewComponentWithoutFreeEdgeIsRoutedNotFatal)
+{
+    // A 64-qubit program on the 64-qubit grid: late program-edge
+    // components find no two adjacent free hardware qubits, so their
+    // endpoints land on free qubits apart and routing connects them.
+    // Every bundle seeded by GreedyE* placement must compile it.
+    Topology topo = topologyFromSpec("grid:8x8");
+    CalibrationModel model(topo, test::kSeed);
+    auto machine =
+        std::make_shared<const Machine>(topo, model.forDay(1));
+    Circuit prog = makeRandomCircuit({64, 1024, 7596, true});
+    for (MapperKind kind : {MapperKind::GreedyE, MapperKind::GreedyETrack,
+                            MapperKind::Sabre}) {
+        SCOPED_TRACE(mapperKindName(kind));
+        CompilerOptions opts;
+        opts.mapper = kind;
+        Pipeline pipe = standardPipeline(machine, opts);
+        PipelineResult r = pipe.run(prog);
+        ASSERT_TRUE(r.ok()) << r.status.message;
+        validateLayout(r.program.layout, 64, machine->numQubits());
+        VerifyOptions vopts;
+        vopts.expectRestoredLayout = !pipe.routesLive();
+        VerifyReport report =
+            ProgramVerifier(*machine, vopts).verify(prog, r.program);
+        EXPECT_TRUE(report.ok()) << report.toString();
+    }
 }
 
 TEST(GreedyMappers, RejectOversizedPrograms)
