@@ -119,7 +119,7 @@ main()
               << Table::fmt(rerun_hit_rate) << " ("
               << rerun.report.cacheHits << "/" << rerun.report.jobs
               << ")\n\nparallel service report:\n"
-              << rerun.report.toString();
+              << p.report.toString();
 
     const bool failed = s.report.failed + p.report.failed +
                             rerun.report.failed >
