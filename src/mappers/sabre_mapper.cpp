@@ -310,12 +310,11 @@ SabreRoutePass::scoreSwap(EdgeId e)
 {
     const HwQubit u = topo_.edge(e).a;
     const HwQubit v = topo_.edge(e).b;
+    auto moved = [&](HwQubit h) { return h == u ? v : h == v ? u : h; };
     auto moved_distance = [&](HwQubit a, HwQubit b) {
-        auto moved = [&](HwQubit h) {
-            return h == u ? v : h == v ? u : h;
-        };
         return topo_.distance(moved(a), moved(b));
     };
+
     // Only the (at most two) front gates sitting on u or v move.
     int front_sum = frontSum_;
     const int fu = frontAt_[u];
