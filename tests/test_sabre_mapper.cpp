@@ -31,10 +31,10 @@ using test::kSeed;
 using test::opStreamHash;
 
 std::shared_ptr<const Machine>
-machineFor(const Topology &topo)
+machineFor(const Topology &topo, int day = 0)
 {
     CalibrationModel model(topo, kSeed);
-    return std::make_shared<const Machine>(topo, model.forDay(0));
+    return std::make_shared<const Machine>(topo, model.forDay(day));
 }
 
 CompilerOptions
@@ -195,10 +195,7 @@ TEST(SabrePlacement, StreamProgramsMatchGoldens)
                      (g.denseCnot ? " dense " : " random ") +
                      std::to_string(g.qubits) + "q " +
                      std::to_string(g.gates) + "g");
-        Topology topo = topologyFromSpec(g.topology);
-        CalibrationModel model(topo, kSeed);
-        auto machine =
-            std::make_shared<const Machine>(topo, model.forDay(g.day));
+        auto machine = machineFor(topologyFromSpec(g.topology), g.day);
         Circuit prog =
             g.denseCnot
                 ? makeDenseCnotCircuit(g.qubits, g.gates, g.seed, 600)
