@@ -56,7 +56,7 @@ cnotSequence(const Circuit &prog)
  * the downstream scheduling pass re-routes from the chosen initial
  * layout.
  *
- * A SWAP step costs a fraction of a from-scratch scoring. Each edge's
+ * A SWAP step costs a fraction of rescoring every term. Each edge's
  * -log reliability and the lookahead decay weights with their running
  * sums are tabulated once per compile; the front layer and lookahead
  * window change only when a gate retires. Each step snapshots the
