@@ -6,10 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include "ir/qasm.hpp"
 #include "sim/executor.hpp"
+#include "support/fingerprint.hpp"
 #include "support/logging.hpp"
+#include "support/rng.hpp"
 #include "workloads/benchmarks.hpp"
+#include "workloads/random_circuits.hpp"
 
 namespace qc {
 namespace {
@@ -118,6 +125,157 @@ INSTANTIATE_TEST_SUITE_P(
     Paper, QasmRoundTrip,
     ::testing::Values("BV4", "BV6", "BV8", "HS2", "HS4", "HS6", "Toffoli",
                       "Fredkin", "Or", "Peres", "QFT", "Adder"));
+
+/**
+ * Seed texts of the mutation corpus: emitter output, plus hand-written
+ * programs with comments, CRLF line ends, tabs, multi-line and empty
+ * statements, barriers and every mnemonic the parser knows.
+ */
+std::vector<std::string>
+corpusSeeds()
+{
+    std::vector<std::string> seeds;
+    for (int s = 1; s <= 4; ++s)
+        seeds.push_back(emitQasm(makeRandomCircuit(
+            {2 + s, 6 * s, static_cast<std::uint64_t>(s), true})));
+    seeds.push_back("// header\nOPENQASM 2.0;\ninclude \"qelib1.inc\";\n"
+                    "qreg q[4];\ncreg c[4];\nh q[0];\ncx q[0],q[1];\n"
+                    "barrier q[0],q[1];\nswap q[1], q[2];\n"
+                    "CX q[2],q[3]; // trailing\n"
+                    "measure q[3] -> c[3];\n");
+    seeds.push_back("qreg q[3];\r\ncreg c[2];\r\nt q[0];\tsdg q[1];\r\n"
+                    "cx\n q[0],\n q[2];\r\nmeasure q[2]->c[1];\r\n");
+    seeds.push_back("OPENQASM 2.0;\nqreg q[2];\n;;\n  x q[1] ;\ny q[0];"
+                    "z q[1];s q[0];tdg q[1];\nmeasure q[0] -> c[0];\n");
+    return seeds;
+}
+
+/** Apply one seeded mutation: overwrite, insert, erase, duplicate, cut. */
+void
+mutate(std::string &text, Rng &rng)
+{
+    static const char *const kTokens[] = {
+        ";", "\n", "\r\n", "//", " ", "\t", "[", "]", ",", "->", "-",
+        ">", "q", "c", "0", "1", "2", "7", "99999999999", "2147483648",
+        "qreg q[2];", "creg c[1];", "cx q[0],q[0];", "h q[9];",
+        "measure q[0] -> c[5];", "measure ", "cx ", "CX ", "swap ",
+        "sdg ", "barrier ", "include ", "OPENQASM ", "_", "\x80", "{",
+        "\""};
+    const int size = static_cast<int>(text.size());
+    const int pos = rng.uniformInt(0, size);
+    const int kind = rng.uniformInt(0, 9);
+    if (kind <= 2 && pos < size) {
+        text[static_cast<std::size_t>(pos)] =
+            static_cast<char>(rng.uniformInt(0, 255));
+    } else if (kind <= 5) {
+        const int n = static_cast<int>(std::size(kTokens));
+        text.insert(static_cast<std::size_t>(pos),
+                    kTokens[rng.uniformInt(0, n - 1)]);
+    } else if (kind <= 7) {
+        text.erase(static_cast<std::size_t>(pos),
+                   static_cast<std::size_t>(rng.uniformInt(1, 8)));
+    } else if (kind == 8) {
+        const int from = rng.uniformInt(0, size);
+        const std::string slice = text.substr(
+            static_cast<std::size_t>(from),
+            static_cast<std::size_t>(rng.uniformInt(1, 16)));
+        text.insert(static_cast<std::size_t>(pos), slice);
+    } else {
+        text.resize(static_cast<std::size_t>(pos));
+    }
+}
+
+/** FNV-1a of what parseQasm made of `text`: the circuit or the error. */
+std::uint64_t
+parseOutcome(const std::string &text)
+{
+    Fingerprint fp;
+    try {
+        Circuit c = parseQasm(text, "mutant");
+        fp.mix(std::string("ok")).mix(c.numQubits()).mix(c.numClbits());
+        fp.mix(static_cast<std::uint64_t>(c.size()));
+        for (const Gate &g : c.gates())
+            fp.mix(static_cast<int>(g.op)).mix(g.q0).mix(g.q1).mix(g.cbit);
+    } catch (const FatalError &e) {
+        fp.mix(std::string("err")).mix(std::string(e.what()));
+    }
+    return fp.value();
+}
+
+/**
+ * Parse every input in forked children that report one outcome per
+ * input over a pipe. Some malformed operands abort the process; the
+ * input a child dies on is marked in `aborted` and the next child
+ * carries on after it.
+ */
+std::vector<std::uint64_t>
+outcomesInChildren(const std::vector<std::string> &inputs,
+                   std::vector<bool> &aborted)
+{
+    std::vector<std::uint64_t> outcomes(inputs.size(), 0);
+    aborted.assign(inputs.size(), false);
+    std::size_t next = 0;
+    while (next < inputs.size()) {
+        int fds[2];
+        if (::pipe(fds) != 0)
+            ADD_FAILURE() << "pipe failed";
+        const pid_t pid = ::fork();
+        if (pid == 0) {
+            ::close(fds[0]);
+            const int devnull = ::open("/dev/null", O_WRONLY);
+            ::dup2(devnull, 2);
+            for (std::size_t i = next; i < inputs.size(); ++i) {
+                const std::uint64_t h = parseOutcome(inputs[i]);
+                if (::write(fds[1], &h, sizeof(h)) != sizeof(h))
+                    ::_exit(1);
+            }
+            ::_exit(0);
+        }
+        ::close(fds[1]);
+        std::size_t i = next;
+        std::uint64_t h = 0;
+        while (::read(fds[0], &h, sizeof(h)) ==
+               static_cast<ssize_t>(sizeof(h)))
+            outcomes[i++] = h;
+        ::close(fds[0]);
+        int status = 0;
+        ::waitpid(pid, &status, 0);
+        if (i < inputs.size())
+            aborted[i++] = true;
+        next = i;
+    }
+    return outcomes;
+}
+
+TEST(QasmParse, MutationCorpusOutcomesMatchGolden)
+{
+    // 20,000 seeded mutants of the seed texts (1-3 mutations each).
+    // Inputs that abort the process are counted and left out of the
+    // digest.
+    const std::vector<std::string> seeds = corpusSeeds();
+    Rng rng(20190131, "qasm-mutation-corpus");
+    std::vector<std::string> inputs;
+    for (int i = 0; i < 20000; ++i) {
+        std::string text = seeds[static_cast<std::size_t>(i) % seeds.size()];
+        for (int m = rng.uniformInt(1, 3); m > 0; --m)
+            mutate(text, rng);
+        inputs.push_back(std::move(text));
+    }
+
+    std::vector<bool> aborted;
+    const std::vector<std::uint64_t> outcomes =
+        outcomesInChildren(inputs, aborted);
+    Fingerprint digest;
+    int skipped = 0;
+    for (std::size_t i = 0; i < inputs.size(); ++i) {
+        if (aborted[i])
+            ++skipped;
+        else
+            digest.mix(outcomes[i]);
+    }
+    EXPECT_EQ(skipped, 124);
+    EXPECT_EQ(digest.value(), 0xf475e7296a348adcull);
+}
 
 } // namespace
 } // namespace qc
