@@ -189,7 +189,12 @@ parseQasm(const std::string &text, const std::string &name)
 
     int n_qubits = -1;
     int n_clbits = -1;
-    std::vector<Gate> pending;
+    struct PendingGate
+    {
+        Gate gate;
+        int line;
+    };
+    std::vector<PendingGate> pending;
 
     for (auto &[stmt, line] : stmts) {
         StmtCursor cur{stmt, 0, line};
@@ -218,7 +223,7 @@ parseQasm(const std::string &text, const std::string &name)
             cur.expect('[');
             int c = cur.number();
             cur.expect(']');
-            pending.push_back({Op::Measure, q, kInvalidQubit, c});
+            pending.push_back({{Op::Measure, q, kInvalidQubit, c}, line});
         } else {
             Op op;
             if (!opFromName(head, op))
@@ -237,7 +242,7 @@ parseQasm(const std::string &text, const std::string &name)
             if (opIsTwoQubit(op) && q1 == kInvalidQubit)
                 QC_FATAL("qasm line ", line, ": ", head,
                          " needs two operands");
-            pending.push_back({op, q0, q1, -1});
+            pending.push_back({{op, q0, q1, -1}, line});
         }
     }
 
@@ -246,9 +251,22 @@ parseQasm(const std::string &text, const std::string &name)
     if (n_clbits < 0)
         n_clbits = n_qubits;
 
+    // Registers may be declared after their first use, so operands are
+    // checked once both sizes are final.
     Circuit circuit(name, n_qubits, n_clbits);
-    for (const auto &g : pending)
+    for (const auto &[g, line] : pending) {
+        if (g.q0 >= n_qubits || (g.isTwoQubit() && g.q1 >= n_qubits))
+            QC_FATAL("qasm line ", line, ": qubit index ",
+                     g.q0 >= n_qubits ? g.q0 : g.q1,
+                     " out of range for qreg of size ", n_qubits);
+        if (g.isTwoQubit() && g.q0 == g.q1)
+            QC_FATAL("qasm line ", line, ": ", opName(g.op),
+                     " needs two distinct qubits");
+        if (g.isMeasure() && g.cbit >= n_clbits)
+            QC_FATAL("qasm line ", line, ": clbit index ", g.cbit,
+                     " out of range for creg of size ", n_clbits);
         circuit.add(g);
+    }
     return circuit;
 }
 

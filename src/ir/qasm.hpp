@@ -30,7 +30,9 @@ std::string emitQasm(const Circuit &circuit);
  *
  * Supports the subset the emitter produces: a single qreg/creg pair,
  * the gates of qc::Op, barrier (ignored), and comments. Throws
- * qc::FatalError with a line number on malformed input.
+ * qc::FatalError with a line number on malformed input, including
+ * operands outside the declared registers and a two-qubit gate whose
+ * operands are the same qubit.
  */
 Circuit parseQasm(const std::string &text, const std::string &name = "qasm");
 

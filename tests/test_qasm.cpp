@@ -6,10 +6,6 @@
 
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include "ir/qasm.hpp"
 #include "sim/executor.hpp"
 #include "support/fingerprint.hpp"
@@ -90,6 +86,44 @@ TEST(QasmParse, OversizedIndexIsParseDiagnosticWithLineNumber)
     EXPECT_THROW(parseQasm("qreg q[99999999999];"), FatalError);
     EXPECT_EQ(parseQasm("qreg q[2147483647];").numQubits(),
               2147483647);
+}
+
+/** The message of the FatalError parseQasm raises on `text`. */
+std::string
+parseError(const std::string &text)
+{
+    try {
+        parseQasm(text);
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "parsed";
+}
+
+TEST(QasmParse, OperandsOutsideRegistersAreDiagnosticsNotAborts)
+{
+    // These used to reach Circuit::add's assertions and abort naqc and
+    // every naqcd tenant with it.
+    EXPECT_EQ(parseError("OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[5];\n"),
+              "qasm line 3: qubit index 5 out of range for qreg of "
+              "size 2");
+    EXPECT_EQ(parseError("OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[1];\n"),
+              "qasm line 3: cx needs two distinct qubits");
+    EXPECT_EQ(parseError("OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\n"
+                         "measure q[0] -> c[7];\n"),
+              "qasm line 4: clbit index 7 out of range for creg of "
+              "size 2");
+
+    // Registers may be declared after use; the final sizes count.
+    EXPECT_EQ(parseQasm("h q[3]; qreg q[4];").numQubits(), 4);
+    EXPECT_EQ(parseError("qreg q[8]; h q[3]; qreg q[2];"),
+              "qasm line 1: qubit index 3 out of range for qreg of "
+              "size 2");
+    // Statement errors still come first, then the missing qreg.
+    EXPECT_EQ(parseError("qreg q[2]; cx q[0],q[5]; bogus q[0];"),
+              "qasm line 1: unknown gate 'bogus'");
+    EXPECT_EQ(parseError("cx q[1],q[1];"),
+              "qasm: missing qreg declaration");
 }
 
 TEST(QasmParse, CommentsAndBarriersIgnored)
@@ -185,10 +219,25 @@ mutate(std::string &text, Rng &rng)
     }
 }
 
-/** FNV-1a of what parseQasm made of `text`: the circuit or the error. */
-std::uint64_t
-parseOutcome(const std::string &text)
+/** The operand diagnostics; these inputs used to abort the process. */
+bool
+isOperandError(const std::string &message)
 {
+    return message.find(" out of range for qreg of size ") !=
+               std::string::npos ||
+           message.find(" out of range for creg of size ") !=
+               std::string::npos ||
+           message.find(" needs two distinct qubits") != std::string::npos;
+}
+
+/**
+ * FNV-1a of what parseQasm made of `text`: the circuit or the error.
+ * Sets `operand_error` instead when the parser rejected an operand.
+ */
+std::uint64_t
+parseOutcome(const std::string &text, bool &operand_error)
+{
+    operand_error = false;
     Fingerprint fp;
     try {
         Circuit c = parseQasm(text, "mutant");
@@ -197,84 +246,39 @@ parseOutcome(const std::string &text)
         for (const Gate &g : c.gates())
             fp.mix(static_cast<int>(g.op)).mix(g.q0).mix(g.q1).mix(g.cbit);
     } catch (const FatalError &e) {
+        operand_error = isOperandError(e.what());
         fp.mix(std::string("err")).mix(std::string(e.what()));
     }
     return fp.value();
 }
 
-/**
- * Parse every input in forked children that report one outcome per
- * input over a pipe. Some malformed operands abort the process; the
- * input a child dies on is marked in `aborted` and the next child
- * carries on after it.
- */
-std::vector<std::uint64_t>
-outcomesInChildren(const std::vector<std::string> &inputs,
-                   std::vector<bool> &aborted)
-{
-    std::vector<std::uint64_t> outcomes(inputs.size(), 0);
-    aborted.assign(inputs.size(), false);
-    std::size_t next = 0;
-    while (next < inputs.size()) {
-        int fds[2];
-        if (::pipe(fds) != 0)
-            ADD_FAILURE() << "pipe failed";
-        const pid_t pid = ::fork();
-        if (pid == 0) {
-            ::close(fds[0]);
-            const int devnull = ::open("/dev/null", O_WRONLY);
-            ::dup2(devnull, 2);
-            for (std::size_t i = next; i < inputs.size(); ++i) {
-                const std::uint64_t h = parseOutcome(inputs[i]);
-                if (::write(fds[1], &h, sizeof(h)) != sizeof(h))
-                    ::_exit(1);
-            }
-            ::_exit(0);
-        }
-        ::close(fds[1]);
-        std::size_t i = next;
-        std::uint64_t h = 0;
-        while (::read(fds[0], &h, sizeof(h)) ==
-               static_cast<ssize_t>(sizeof(h)))
-            outcomes[i++] = h;
-        ::close(fds[0]);
-        int status = 0;
-        ::waitpid(pid, &status, 0);
-        if (i < inputs.size())
-            aborted[i++] = true;
-        next = i;
-    }
-    return outcomes;
-}
-
 TEST(QasmParse, MutationCorpusOutcomesMatchGolden)
 {
     // 20,000 seeded mutants of the seed texts (1-3 mutations each).
-    // Inputs that abort the process are counted and left out of the
-    // digest.
+    // The main digest was captured when operand errors still aborted
+    // the process, so those inputs are counted and digested apart.
     const std::vector<std::string> seeds = corpusSeeds();
     Rng rng(20190131, "qasm-mutation-corpus");
-    std::vector<std::string> inputs;
+    Fingerprint digest;
+    Fingerprint operand_digest;
+    int skipped = 0;
     for (int i = 0; i < 20000; ++i) {
         std::string text = seeds[static_cast<std::size_t>(i) % seeds.size()];
         for (int m = rng.uniformInt(1, 3); m > 0; --m)
             mutate(text, rng);
-        inputs.push_back(std::move(text));
-    }
-
-    std::vector<bool> aborted;
-    const std::vector<std::uint64_t> outcomes =
-        outcomesInChildren(inputs, aborted);
-    Fingerprint digest;
-    int skipped = 0;
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (aborted[i])
+        bool operand_error = false;
+        const std::uint64_t outcome = parseOutcome(text, operand_error);
+        if (operand_error) {
             ++skipped;
-        else
-            digest.mix(outcomes[i]);
+            operand_digest.mix(outcome);
+        } else {
+            digest.mix(outcome);
+        }
     }
     EXPECT_EQ(skipped, 124);
     EXPECT_EQ(digest.value(), 0xf475e7296a348adcull);
+    // Their diagnostics, pinned once they stopped aborting.
+    EXPECT_EQ(operand_digest.value(), 0xbea225d88c673a81ull);
 }
 
 } // namespace
