@@ -1,9 +1,12 @@
 #include "disk_cache.hpp"
 
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
+
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
 
 #include "daemon/program_serdes.hpp"
 #include "support/logging.hpp"
@@ -21,6 +24,56 @@ hex16(std::uint64_t v)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
     return buf;
+}
+
+/**
+ * Read the whole file at `path` with one read sized from fstat. False
+ * when the file cannot be opened; a short or failed read leaves the
+ * bytes read so far, which then fail frame validation.
+ */
+bool
+readFile(const std::string &path, std::string &bytes)
+{
+    const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+    if (fd < 0)
+        return false;
+    struct stat st;
+    if (::fstat(fd, &st) == 0 && st.st_size > 0)
+        bytes.resize(static_cast<std::size_t>(st.st_size));
+    std::size_t got = 0;
+    while (got < bytes.size()) {
+        const ssize_t n =
+            ::read(fd, bytes.data() + got, bytes.size() - got);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        got += static_cast<std::size_t>(n);
+    }
+    bytes.resize(got);
+    ::close(fd);
+    return true;
+}
+
+/** Create (or truncate) `path` and write all of `bytes` to it. */
+bool
+writeFile(const std::string &path, const std::string &bytes)
+{
+    const int fd =
+        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
+    if (fd < 0)
+        return false;
+    std::size_t sent = 0;
+    while (sent < bytes.size()) {
+        const ssize_t n =
+            ::write(fd, bytes.data() + sent, bytes.size() - sent);
+        if (n < 0 && errno == EINTR)
+            continue;
+        if (n <= 0)
+            break;
+        sent += static_cast<std::size_t>(n);
+    }
+    return ::close(fd) == 0 && sent == bytes.size();
 }
 
 } // namespace
@@ -49,15 +102,12 @@ DiskCacheStore::load(const service::CacheKey &key)
     if (!enabled())
         return nullptr;
     const std::string path = entryPath(key);
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
+    std::string bytes;
+    if (!readFile(path, bytes)) {
         std::lock_guard<std::mutex> lock(mu_);
         ++stats_.loadMisses;
         return nullptr;
     }
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    const std::string bytes = oss.str();
 
     auto program = std::make_shared<CompiledProgram>();
     if (!deserializeCompiledProgram(bytes, *program)) {
@@ -102,15 +152,7 @@ DiskCacheStore::store(const service::CacheKey &key,
     const std::string temp =
         path + ".tmp." + std::to_string(serial);
 
-    bool ok = false;
-    {
-        std::ofstream out(temp,
-                          std::ios::binary | std::ios::trunc);
-        ok = static_cast<bool>(out.write(bytes.data(),
-                                         static_cast<std::streamsize>(
-                                             bytes.size())));
-        ok = ok && static_cast<bool>(out.flush());
-    }
+    bool ok = writeFile(temp, bytes);
     if (ok) {
         std::error_code ec;
         fs::rename(temp, path, ec);

@@ -90,25 +90,31 @@ LineChannel::~LineChannel()
 bool
 LineChannel::readLine(std::string &line)
 {
+    constexpr std::size_t kReadSize = 4096;
     for (;;) {
-        std::size_t nl = buffer_.find('\n');
+        const std::size_t nl = buffer_.find('\n', scanned_);
         if (nl != std::string::npos) {
-            line.assign(buffer_, 0, nl);
-            buffer_.erase(0, nl + 1);
-            if (!line.empty() && line.back() == '\r')
-                line.pop_back();
+            std::size_t end = nl;
+            if (end > head_ && buffer_[end - 1] == '\r')
+                --end;
+            line.assign(buffer_, head_, end - head_);
+            head_ = scanned_ = nl + 1;
             return true;
         }
-        char chunk[4096];
-        ssize_t n = ::read(fd_, chunk, sizeof(chunk));
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        if (n == 0)
-            return false; // EOF; any partial line is dropped
-        buffer_.append(chunk, static_cast<std::size_t>(n));
+        // No whole line left: drop the returned lines once per refill
+        // and read behind the partial line.
+        buffer_.erase(0, head_);
+        head_ = 0;
+        scanned_ = buffer_.size();
+        buffer_.resize(scanned_ + kReadSize);
+        ssize_t n = 0;
+        do {
+            n = ::read(fd_, buffer_.data() + scanned_, kReadSize);
+        } while (n < 0 && errno == EINTR);
+        const std::size_t got = n > 0 ? static_cast<std::size_t>(n) : 0;
+        buffer_.resize(scanned_ + got);
+        if (got == 0)
+            return false; // EOF or error; any partial line is dropped
     }
 }
 

@@ -59,7 +59,9 @@ class LineChannel
 
   private:
     int fd_ = -1;
-    std::string buffer_; ///< bytes read but not yet returned
+    std::string buffer_;      ///< bytes read; those before head_ returned
+    std::size_t head_ = 0;    ///< start of the first unreturned line
+    std::size_t scanned_ = 0; ///< bytes before this hold no '\n' past head_
 };
 
 } // namespace qc::daemon

@@ -1,5 +1,6 @@
 #include "program_serdes.hpp"
 
+#include <algorithm>
 #include <cstring>
 
 #include "support/fingerprint.hpp"
@@ -10,28 +11,53 @@ namespace {
 
 constexpr char kMagic[4] = {'N', 'Q', 'C', 'P'};
 
-/** Append-only little-endian byte sink. */
+/** @name Frame header layout: magic, u32 version, u64 size, u64 checksum.
+ *  @{ */
+constexpr std::size_t kSizeOffset = sizeof(kMagic) + 4;
+constexpr std::size_t kChecksumOffset = kSizeOffset + 8;
+constexpr std::size_t kHeaderSize = kChecksumOffset + 8;
+/** @} */
+
+/** Store `v` little-endian in the sizeof(T) bytes at `at`. */
+template <typename T>
+void
+storeLittleEndian(char *at, T v)
+{
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        at[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+}
+
+/**
+ * Little-endian byte sink: writes through a cursor into a buffer that
+ * grows geometrically, and can patch bytes it already wrote.
+ */
 class ByteWriter
 {
   public:
+    explicit ByteWriter(std::size_t capacity) : bytes_(capacity, '\0') {}
+
+    void
+    putBytes(const char *data, std::size_t n)
+    {
+        std::memcpy(claim(n), data, n);
+    }
+
     void
     putU8(std::uint8_t v)
     {
-        bytes_.push_back(static_cast<char>(v));
+        *claim(1) = static_cast<char>(v);
     }
 
     void
     putU32(std::uint32_t v)
     {
-        for (int i = 0; i < 4; ++i)
-            bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        storeLittleEndian(claim(4), v);
     }
 
     void
     putU64(std::uint64_t v)
     {
-        for (int i = 0; i < 8; ++i)
-            bytes_.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+        storeLittleEndian(claim(8), v);
     }
 
     void
@@ -58,17 +84,40 @@ class ByteWriter
     putString(const std::string &s)
     {
         putU64(s.size());
-        bytes_.append(s);
+        putBytes(s.data(), s.size());
     }
+
+    /** Overwrite the 8 bytes written at `offset`. */
+    void
+    patchU64(std::size_t offset, std::uint64_t v)
+    {
+        storeLittleEndian(bytes_.data() + offset, v);
+    }
+
+    const char *data() const { return bytes_.data(); }
+    std::size_t size() const { return size_; }
 
     std::string
     take()
     {
+        bytes_.resize(size_);
         return std::move(bytes_);
     }
 
   private:
+    /** The next `n` bytes of the buffer, doubling it if they do not fit. */
+    char *
+    claim(std::size_t n)
+    {
+        if (n > bytes_.size() - size_)
+            bytes_.resize(std::max(2 * bytes_.size(), size_ + n));
+        char *at = bytes_.data() + size_;
+        size_ += n;
+        return at;
+    }
+
     std::string bytes_;
+    std::size_t size_ = 0;
 };
 
 /** Bounds-checked little-endian reader; every get reports success. */
@@ -201,10 +250,27 @@ getGate(ByteReader &r, Gate &g)
     return r.getI32(g.q0) && r.getI32(g.q1) && r.getI32(g.cbit);
 }
 
-std::string
-serializePayload(const CompiledProgram &p)
+/**
+ * Payload bytes of a program: exact for the arrays and strings, with
+ * slack for the fixed fields, so the writer rarely has to grow.
+ */
+std::size_t
+payloadSizeHint(const CompiledProgram &p)
 {
-    ByteWriter w;
+    std::size_t size = 256 + p.mapperName.size() + p.programName.size() +
+                       p.solverStatus.size() +
+                       4 * (p.layout.size() + p.junctions.size()) +
+                       30 * p.schedule.ops.size() +
+                       20 * p.schedule.macros.size() +
+                       8 * p.schedule.qubitFinish.size();
+    for (const StageTrace &t : p.stageTraces)
+        size += 32 + t.stage.size() + t.pass.size() + t.note.size();
+    return size;
+}
+
+void
+putPayload(ByteWriter &w, const CompiledProgram &p)
+{
     w.putString(p.mapperName);
     w.putString(p.programName);
 
@@ -251,7 +317,6 @@ serializePayload(const CompiledProgram &p)
         w.putDouble(t.seconds);
         w.putString(t.note);
     }
-    return w.take();
 }
 
 bool
@@ -320,36 +385,32 @@ deserializePayload(const char *data, std::size_t size,
     return r.atEnd();
 }
 
-std::uint64_t
-payloadChecksum(const std::string &payload)
-{
-    Fingerprint fp;
-    fp.mixBytes(payload.data(), payload.size());
-    return fp.value();
-}
-
 } // namespace
 
 std::string
 serializeCompiledProgram(const CompiledProgram &program)
 {
-    std::string payload = serializePayload(program);
-    ByteWriter header;
-    header.putU32(kProgramSerdesVersion);
-    header.putU64(payload.size());
-    header.putU64(payloadChecksum(payload));
-    std::string out(kMagic, sizeof(kMagic));
-    out += header.take();
-    out += payload;
-    return out;
+    // The header goes in first with its size and checksum zeroed; both
+    // are patched in once the payload is written behind it.
+    ByteWriter w(kHeaderSize + payloadSizeHint(program));
+    w.putBytes(kMagic, sizeof(kMagic));
+    w.putU32(kProgramSerdesVersion);
+    w.putU64(0);
+    w.putU64(0);
+    putPayload(w, program);
+    const std::size_t payload_size = w.size() - kHeaderSize;
+    Fingerprint fp;
+    fp.mixBytes(w.data() + kHeaderSize, payload_size);
+    w.patchU64(kSizeOffset, payload_size);
+    w.patchU64(kChecksumOffset, fp.value());
+    return w.take();
 }
 
 bool
 deserializeCompiledProgram(const std::string &bytes,
                            CompiledProgram &out)
 {
-    constexpr std::size_t header_size = sizeof(kMagic) + 4 + 8 + 8;
-    if (bytes.size() < header_size)
+    if (bytes.size() < kHeaderSize)
         return false;
     if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
         return false;
@@ -362,9 +423,9 @@ deserializeCompiledProgram(const std::string &bytes,
         return false;
     if (!r.getU64(payload_size) || !r.getU64(checksum))
         return false;
-    if (bytes.size() != header_size + payload_size)
+    if (bytes.size() != kHeaderSize + payload_size)
         return false;
-    const char *payload = bytes.data() + header_size;
+    const char *payload = bytes.data() + kHeaderSize;
     Fingerprint fp;
     fp.mixBytes(payload, static_cast<std::size_t>(payload_size));
     if (fp.value() != checksum)

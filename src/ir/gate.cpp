@@ -38,9 +38,9 @@ opName(Op op)
 }
 
 bool
-opFromName(const std::string &name, Op &out)
+opFromName(std::string_view name, Op &out)
 {
-    static const struct { const char *n; Op op; } table[] = {
+    static constexpr struct { std::string_view n; Op op; } table[] = {
         {"h", Op::H}, {"x", Op::X}, {"y", Op::Y}, {"z", Op::Z},
         {"s", Op::S}, {"sdg", Op::Sdg}, {"t", Op::T}, {"tdg", Op::Tdg},
         {"cx", Op::CNOT}, {"CX", Op::CNOT}, {"swap", Op::Swap},

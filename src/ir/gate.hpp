@@ -11,6 +11,7 @@
 #define QC_IR_GATE_HPP
 
 #include <string>
+#include <string_view>
 
 #include "support/types.hpp"
 
@@ -50,7 +51,7 @@ bool opIsTwoQubit(Op op);
 const char *opName(Op op);
 
 /** Parse an OpenQASM mnemonic; returns false if unknown. */
-bool opFromName(const std::string &name, Op &out);
+bool opFromName(std::string_view name, Op &out);
 
 /**
  * One IR operation.

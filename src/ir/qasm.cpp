@@ -1,79 +1,152 @@
 #include "qasm.hpp"
 
-#include <cctype>
+#include <algorithm>
+#include <charconv>
+#include <cstring>
 #include <limits>
-#include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "support/logging.hpp"
 
 namespace qc {
 
+namespace {
+
+constexpr std::string_view kPreamble =
+    "OPENQASM 2.0;\ninclude \"qelib1.inc\";\n";
+
+/** Decimal digits of the largest index below `width` (at least 1). */
+std::size_t
+indexDigits(int width)
+{
+    std::size_t digits = 1;
+    for (int v = width - 1; v >= 10; v /= 10)
+        ++digits;
+    return digits;
+}
+
+/** Writes text through a cursor into a buffer sized beforehand. */
+class TextWriter
+{
+  public:
+    TextWriter(char *at, char *end) : at_(at), end_(end) {}
+
+    TextWriter &
+    operator<<(std::string_view s)
+    {
+        std::memcpy(at_, s.data(), s.size());
+        at_ += s.size();
+        return *this;
+    }
+
+    TextWriter &
+    operator<<(int v)
+    {
+        at_ = std::to_chars(at_, end_, v).ptr;
+        return *this;
+    }
+
+    char *at() const { return at_; }
+
+  private:
+    char *at_;
+    char *end_;
+};
+
+} // namespace
+
 std::string
 emitQasm(const Circuit &circuit)
 {
-    std::ostringstream oss;
-    oss << "// " << circuit.name() << "\n";
-    oss << "OPENQASM 2.0;\n";
-    oss << "include \"qelib1.inc\";\n";
-    oss << "qreg q[" << circuit.numQubits() << "];\n";
-    oss << "creg c[" << circuit.numClbits() << "];\n";
+    // Every operand is below its register's width, so each line has a
+    // known bound and the text is sized once.
+    const std::size_t q = indexDigits(circuit.numQubits());
+    const std::size_t c = indexDigits(circuit.numClbits());
+    const std::size_t cx_line = 12 + 2 * q; // cx q[a],q[b];
+    std::size_t size = 3 + circuit.name().size() + 1 + kPreamble.size() +
+                       2 * (10 + std::numeric_limits<int>::digits10 + 1);
+    for (const auto &g : circuit.gates()) {
+        switch (g.op) {
+          case Op::Swap: size += 3 * cx_line; break;
+          case Op::CNOT: size += cx_line; break;
+          case Op::Measure: size += 20 + q + c; break; // measure q[a] -> c[b];
+          default: size += 9 + q; break;               // sdg q[a];
+        }
+    }
+
+    std::string out(size, '\0');
+    TextWriter w(out.data(), out.data() + out.size());
+    w << "// " << circuit.name() << "\n" << kPreamble;
+    w << "qreg q[" << circuit.numQubits() << "];\n";
+    w << "creg c[" << circuit.numClbits() << "];\n";
     for (const auto &g : circuit.gates()) {
         switch (g.op) {
           case Op::Swap:
             // SWAP(a, b) := CX a,b; CX b,a; CX a,b (footnote 2).
-            oss << "cx q[" << g.q0 << "],q[" << g.q1 << "];\n";
-            oss << "cx q[" << g.q1 << "],q[" << g.q0 << "];\n";
-            oss << "cx q[" << g.q0 << "],q[" << g.q1 << "];\n";
+            w << "cx q[" << g.q0 << "],q[" << g.q1 << "];\n";
+            w << "cx q[" << g.q1 << "],q[" << g.q0 << "];\n";
+            w << "cx q[" << g.q0 << "],q[" << g.q1 << "];\n";
             break;
           case Op::CNOT:
-            oss << "cx q[" << g.q0 << "],q[" << g.q1 << "];\n";
+            w << "cx q[" << g.q0 << "],q[" << g.q1 << "];\n";
             break;
           case Op::Measure:
-            oss << "measure q[" << g.q0 << "] -> c[" << g.cbit << "];\n";
+            w << "measure q[" << g.q0 << "] -> c[" << g.cbit << "];\n";
             break;
           default:
-            oss << opName(g.op) << " q[" << g.q0 << "];\n";
+            w << opName(g.op) << " q[" << g.q0 << "];\n";
             break;
         }
     }
-    return oss.str();
+    out.resize(static_cast<std::size_t>(w.at() - out.data()));
+    return out;
 }
 
 namespace {
 
+/** @name The <cctype> classes the parser uses, as in the "C" locale.
+ *  @{ */
+bool isSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool
+isIdentChar(char c)
+{
+    return isDigit(c) || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
+           c == '_';
+}
+/** @} */
+
+/** One statement's comment-stripped body within the shared buffer. */
+struct StmtSpan
+{
+    std::size_t offset;
+    std::size_t length;
+    int line;
+};
+
 /** Cursor over one QASM statement's text. */
 struct StmtCursor
 {
-    const std::string &text;
+    std::string_view text;
     size_t pos = 0;
     int line;
 
     void
     skipSpace()
     {
-        while (pos < text.size() && std::isspace(
-                   static_cast<unsigned char>(text[pos]))) {
+        while (pos < text.size() && isSpace(text[pos]))
             ++pos;
-        }
     }
 
-    bool done()
-    {
-        skipSpace();
-        return pos >= text.size();
-    }
-
-    std::string
+    std::string_view
     ident()
     {
         skipSpace();
         size_t start = pos;
-        while (pos < text.size() &&
-               (std::isalnum(static_cast<unsigned char>(text[pos])) ||
-                text[pos] == '_')) {
+        while (pos < text.size() && isIdentChar(text[pos]))
             ++pos;
-        }
         if (start == pos)
             QC_FATAL("qasm line ", line, ": expected identifier");
         return text.substr(start, pos - start);
@@ -84,10 +157,8 @@ struct StmtCursor
     {
         skipSpace();
         size_t start = pos;
-        while (pos < text.size() &&
-               std::isdigit(static_cast<unsigned char>(text[pos]))) {
+        while (pos < text.size() && isDigit(text[pos]))
             ++pos;
-        }
         if (start == pos)
             QC_FATAL("qasm line ", line, ": expected number");
         // Accumulate with an overflow guard: an oversized literal
@@ -141,49 +212,45 @@ struct StmtCursor
 Circuit
 parseQasm(const std::string &text, const std::string &name)
 {
-    // Split into statements at ';', tracking line numbers and
-    // stripping '//' comments.
-    std::vector<std::pair<std::string, int>> stmts;
+    // Split into statements at ';' in one pass, tracking line numbers
+    // and stripping '//' comments. The bodies go back to back into one
+    // buffer. A newline inside a statement becomes a space; whitespace
+    // before a statement's first character is dropped, so each
+    // statement records the line its first real character is on.
+    std::string body;
+    body.reserve(text.size());
+    std::vector<StmtSpan> stmts;
     {
-        std::string cur;
+        std::size_t start = 0; // the open statement's offset in body
         int line = 1;
         int stmt_line = 1;
         for (size_t i = 0; i < text.size(); ++i) {
             char c = text[i];
             if (c == '/' && i + 1 < text.size() && text[i + 1] == '/') {
-                while (i < text.size() && text[i] != '\n')
-                    ++i;
+                i = std::min(text.find('\n', i), text.size());
                 ++line;
                 continue;
             }
             if (c == '\n') {
                 ++line;
-                // Folding the newline into a pending statement keeps
-                // multi-line statements parsable; an *empty* buffer
-                // must stay empty so the next statement records the
-                // line its first real character is on.
-                if (!cur.empty())
-                    cur += ' ';
+                if (body.size() > start)
+                    body += ' ';
                 continue;
             }
             if (c == ';') {
-                stmts.emplace_back(cur, stmt_line);
-                cur.clear();
-                stmt_line = line;
+                if (body.size() > start)
+                    stmts.push_back({start, body.size() - start, stmt_line});
+                start = body.size();
                 continue;
             }
-            if (cur.empty() && std::isspace(static_cast<unsigned char>(c)))
-                continue;
-            if (cur.empty())
+            if (body.size() == start) {
+                if (isSpace(c))
+                    continue;
                 stmt_line = line;
-            cur += c;
+            }
+            body += c;
         }
-        std::string rest = cur;
-        for (char &ch : rest)
-            if (std::isspace(static_cast<unsigned char>(ch)))
-                ch = ' ';
-        bool blank = rest.find_first_not_of(' ') == std::string::npos;
-        if (!blank)
+        if (body.size() > start)
             QC_FATAL("qasm: trailing statement without ';'");
     }
 
@@ -195,12 +262,13 @@ parseQasm(const std::string &text, const std::string &name)
         int line;
     };
     std::vector<PendingGate> pending;
+    pending.reserve(stmts.size());
 
-    for (auto &[stmt, line] : stmts) {
-        StmtCursor cur{stmt, 0, line};
-        if (cur.done())
-            continue;
-        std::string head = cur.ident();
+    const std::string_view bodies(body);
+    for (const StmtSpan &stmt : stmts) {
+        const int line = stmt.line;
+        StmtCursor cur{bodies.substr(stmt.offset, stmt.length), 0, line};
+        const std::string_view head = cur.ident();
 
         if (head == "OPENQASM") {
             continue; // version payload ignored
