@@ -15,8 +15,8 @@
  *   naqc-client --socket PATH reload (--day D | --calibration FILE)
  *   naqc-client --socket PATH drain | shutdown | ping
  *
- * Exit codes: 0 ok, 1 transport/protocol error, 3 rejected submit
- * (over-quota or draining daemon).
+ * Exit codes: 0 ok, 1 transport/protocol error, 2 bad command-line
+ * flag, 3 rejected submit (over-quota or draining daemon).
  *
  * `submit --wait` prints the compiled QASM to stdout and the result
  * line to stderr, mirroring one-shot `naqc --qasm ... --out -`.
@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "daemon/net.hpp"
+#include "support/cli.hpp"
 #include "support/logging.hpp"
 
 using namespace qc;
@@ -75,7 +76,7 @@ printUsage(std::ostream &os)
           "  drain        stop admissions, wait for idle\n"
           "  shutdown     drain, then stop the daemon\n"
           "  ping         liveness check\n"
-          "exit codes: 0 ok, 1 error, 3 rejected submit\n";
+          "exit codes: 0 ok, 1 error, 2 bad flag, 3 rejected submit\n";
 }
 
 ClientCli
@@ -84,7 +85,8 @@ parseArgs(int argc, char **argv)
     ClientCli cli;
     auto need = [&](int &i, const char *flag) -> std::string {
         if (i + 1 >= argc)
-            QC_FATAL("missing value for ", flag);
+            throw cli::UsageError(std::string("missing value for ") +
+                                  flag);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -121,7 +123,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--help" || arg == "-h") {
             cli.help = true;
         } else if (!arg.empty() && arg[0] == '-') {
-            QC_FATAL("unknown flag '", arg, "' (try --help)");
+            throw cli::UsageError("unknown flag '" + arg +
+                                  "' (try --help)");
         } else if (cli.command.empty()) {
             cli.command = arg;
         } else {
@@ -319,10 +322,18 @@ run(const ClientCli &cli)
 int
 main(int argc, char **argv)
 {
-    ClientCli cli = parseArgs(argc, argv);
-    if (cli.help || cli.command.empty()) {
-        printUsage(cli.help ? std::cout : std::cerr);
-        return cli.help ? 0 : kExitError;
+    try {
+        ClientCli cli = parseArgs(argc, argv);
+        if (cli.help || cli.command.empty()) {
+            printUsage(cli.help ? std::cout : std::cerr);
+            return cli.help ? 0 : kExitError;
+        }
+        return run(cli);
+    } catch (const qc::cli::UsageError &e) {
+        std::cerr << "naqc-client: " << e.what() << "\n";
+        return e.exitCode();
+    } catch (const qc::FatalError &e) {
+        std::cerr << "naqc-client: " << e.what() << "\n";
+        return kExitError;
     }
-    return run(cli);
 }

@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -50,6 +51,7 @@
 #include "ir/qasm.hpp"
 #include "machine/calibration_io.hpp"
 #include "machine/calibration_model.hpp"
+#include "support/cli.hpp"
 #include "support/logging.hpp"
 #include "workloads/benchmarks.hpp"
 
@@ -113,7 +115,8 @@ parseArgs(int argc, char **argv)
     DaemonCli cli;
     auto need = [&](int &i, const char *flag) -> std::string {
         if (i + 1 >= argc)
-            QC_FATAL("missing value for ", flag);
+            throw cli::UsageError(std::string("missing value for ") +
+                                  flag);
         return argv[++i];
     };
     for (int i = 1; i < argc; ++i) {
@@ -125,30 +128,34 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--calibration") {
             cli.calibrationPath = need(i, "--calibration");
         } else if (arg == "--seed") {
-            cli.seed = std::stoull(need(i, "--seed"));
+            cli.seed = cli::parseUint64Flag("--seed", need(i, "--seed"));
         } else if (arg == "--day") {
-            cli.day = std::stoi(need(i, "--day"));
+            cli.day = cli::parseIntFlag("--day", need(i, "--day"));
         } else if (arg == "--threads") {
-            cli.opts.threads = std::stoi(need(i, "--threads"));
+            cli.opts.threads =
+                cli::parseIntFlag("--threads", need(i, "--threads"));
         } else if (arg == "--shards") {
-            cli.opts.shards = std::stoi(need(i, "--shards"));
+            cli.opts.shards =
+                cli::parseIntFlag("--shards", need(i, "--shards"));
         } else if (arg == "--cache-dir") {
             cli.opts.cacheDir = need(i, "--cache-dir");
         } else if (arg == "--cache-capacity") {
-            cli.opts.cacheCapacity =
-                std::stoull(need(i, "--cache-capacity"));
+            cli.opts.cacheCapacity = cli::parseUint64Flag(
+                "--cache-capacity", need(i, "--cache-capacity"));
         } else if (arg == "--cache-bytes") {
-            cli.opts.cacheByteCapacity =
-                std::stoull(need(i, "--cache-bytes"));
+            cli.opts.cacheByteCapacity = cli::parseUint64Flag(
+                "--cache-bytes", need(i, "--cache-bytes"));
         } else if (arg == "--tenant-quota") {
-            cli.opts.tenantQuota =
-                std::stoull(need(i, "--tenant-quota"));
+            cli.opts.tenantQuota = cli::parseUint64Flag(
+                "--tenant-quota", need(i, "--tenant-quota"));
         } else if (arg == "--warm-top") {
-            cli.opts.warmTopK = std::stoi(need(i, "--warm-top"));
+            cli.opts.warmTopK =
+                cli::parseIntFlag("--warm-top", need(i, "--warm-top"));
         } else if (arg == "--help" || arg == "-h") {
             cli.help = true;
         } else {
-            QC_FATAL("unknown flag '", arg, "' (try --help)");
+            throw cli::UsageError("unknown flag '" + arg +
+                                  "' (try --help)");
         }
     }
     return cli;
@@ -313,7 +320,7 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
         if (req.has("portfolio_deadline_ms")) {
             const long long ms =
                 req.getInt("portfolio_deadline_ms", -1);
-            if (ms < 0)
+            if (ms < 0 || ms > std::numeric_limits<unsigned>::max())
                 QC_FATAL("bad portfolio_deadline_ms '",
                          req.get("portfolio_deadline_ms"), "'");
             copts.portfolio.deadlineMs = static_cast<unsigned>(ms);
@@ -529,10 +536,18 @@ runServer(const DaemonCli &cli)
 int
 main(int argc, char **argv)
 {
-    DaemonCli cli = parseArgs(argc, argv);
-    if (cli.help) {
-        printUsage(std::cout);
-        return 0;
+    try {
+        DaemonCli cli = parseArgs(argc, argv);
+        if (cli.help) {
+            printUsage(std::cout);
+            return 0;
+        }
+        return runServer(cli);
+    } catch (const qc::cli::UsageError &e) {
+        std::cerr << "naqcd: " << e.what() << "\n";
+        return e.exitCode();
+    } catch (const qc::FatalError &e) {
+        std::cerr << "naqcd: " << e.what() << "\n";
+        return 1;
     }
-    return runServer(cli);
 }
