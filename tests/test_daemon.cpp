@@ -16,11 +16,13 @@
 #include <string>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
 #include "daemon/daemon.hpp"
+#include "daemon/net.hpp"
 #include "daemon/program_serdes.hpp"
 #include "daemon/protocol.hpp"
 #include "ir/qasm.hpp"
@@ -127,6 +129,107 @@ TEST(Protocol, LaneNamesRoundTrip)
     EXPECT_EQ(lane, Lane::Low);
     EXPECT_FALSE(daemon::laneFromName("urgent", lane));
     EXPECT_STREQ(daemon::laneName(Lane::Normal), "normal");
+}
+
+// ---------------------------------------------------------------- //
+// Line channel
+// ---------------------------------------------------------------- //
+
+/** A LineChannel reading one end of a socketpair; write the other. */
+struct ChannelPair
+{
+    std::unique_ptr<daemon::LineChannel> reader;
+    int writer = -1;
+
+    ChannelPair()
+    {
+        int fds[2];
+        EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+        reader = std::make_unique<daemon::LineChannel>(fds[0]);
+        writer = fds[1];
+    }
+    ~ChannelPair() { closeWriter(); }
+
+    void
+    send(const std::string &bytes)
+    {
+        ASSERT_EQ(::write(writer, bytes.data(), bytes.size()),
+                  static_cast<ssize_t>(bytes.size()));
+    }
+
+    void
+    closeWriter()
+    {
+        if (writer >= 0)
+            ::close(writer);
+        writer = -1;
+    }
+
+    std::string
+    line()
+    {
+        std::string text;
+        EXPECT_TRUE(reader->readLine(text));
+        return text;
+    }
+};
+
+TEST(LineChannel, SplitsLinesAcrossAndWithinReads)
+{
+    ChannelPair ch;
+    // Several lines in one read, the last one cut off...
+    ch.send("a\nbb\nccc\nsec");
+    EXPECT_EQ(ch.line(), "a");
+    EXPECT_EQ(ch.line(), "bb");
+    EXPECT_EQ(ch.line(), "ccc");
+    // ...and finished by the next read.
+    ch.send("ond\n\nthird\n");
+    EXPECT_EQ(ch.line(), "second");
+    EXPECT_EQ(ch.line(), "");
+    EXPECT_EQ(ch.line(), "third");
+}
+
+TEST(LineChannel, StripsOneCarriageReturnBeforeNewline)
+{
+    ChannelPair ch;
+    ch.send("crlf\r\n\r\nin\rside\ntwo\r\r\n");
+    EXPECT_EQ(ch.line(), "crlf");
+    EXPECT_EQ(ch.line(), "");
+    EXPECT_EQ(ch.line(), "in\rside");
+    EXPECT_EQ(ch.line(), "two\r");
+}
+
+TEST(LineChannel, ReadsPayloadLargerThanOneReadChunk)
+{
+    // 1,000 short lines around one 10,000-byte line: both the many
+    // lines per 4 KB read and the line spanning several reads.
+    ChannelPair ch;
+    std::string payload;
+    for (int i = 0; i < 1000; ++i) {
+        payload += "line " + std::to_string(i) + "\n";
+        if (i == 500)
+            payload += std::string(10000, 'x') + "\n";
+    }
+    ch.send(payload);
+    ch.closeWriter();
+    for (int i = 0; i < 1000; ++i) {
+        ASSERT_EQ(ch.line(), "line " + std::to_string(i));
+        if (i == 500)
+            ASSERT_EQ(ch.line(), std::string(10000, 'x'));
+    }
+    std::string rest;
+    EXPECT_FALSE(ch.reader->readLine(rest));
+}
+
+TEST(LineChannel, DropsPartialLastLineAtEof)
+{
+    ChannelPair ch;
+    ch.send("done\npartial");
+    ch.closeWriter();
+    EXPECT_EQ(ch.line(), "done");
+    std::string rest;
+    EXPECT_FALSE(ch.reader->readLine(rest));
+    EXPECT_FALSE(ch.reader->readLine(rest));
 }
 
 // ---------------------------------------------------------------- //

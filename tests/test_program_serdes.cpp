@@ -298,4 +298,33 @@ TEST(ByteGoldens, QasmAndFramesOfHeuristicBundles)
     }
 }
 
+TEST(ProgramSerdes, SerializeDeserializeSerializeIsAFixpoint)
+{
+    // Real outputs of the five heuristic bundles, timings included:
+    // a frame read back and written again is the same frame.
+    for (const ByteGolden &g : kByteGoldens) {
+        Topology topo = topologyFromSpec(g.topology);
+        CalibrationModel model(topo, test::kSeed);
+        auto machine =
+            std::make_shared<const Machine>(topo, model.forDay(g.day));
+        Circuit prog =
+            g.denseCnot
+                ? makeDenseCnotCircuit(g.qubits, g.gates, g.seed, 600)
+                : makeRandomCircuit({g.qubits, g.gates, g.seed, true});
+        for (MapperKind bundle : kHeuristicBundles) {
+            CompilerOptions opts;
+            opts.mapper = bundle;
+            PipelineResult r = standardPipeline(machine, opts).run(prog);
+            ASSERT_TRUE(r.ok()) << r.status.message;
+            const std::string frame =
+                daemon::serializeCompiledProgram(r.program);
+            CompiledProgram back;
+            ASSERT_TRUE(daemon::deserializeCompiledProgram(frame, back));
+            expectIdentical(r.program, back);
+            EXPECT_EQ(daemon::serializeCompiledProgram(back), frame)
+                << g.topology << " " << mapperKindName(bundle);
+        }
+    }
+}
+
 } // namespace

@@ -135,6 +135,33 @@ TEST(QasmParse, CommentsAndBarriersIgnored)
     EXPECT_EQ(c.gate(0).q0, 1);
 }
 
+TEST(QasmRoundTrip, EmitParseEmitIsAFixpoint)
+{
+    // Seeded random circuits over every op, Swap and Measure included:
+    // parsing the emitted text and emitting again gives the same bytes
+    // (a Swap comes back as its three CNOTs, which emit the same way).
+    const Op kOps[] = {Op::H,   Op::X,    Op::Y,    Op::Z,
+                       Op::S,   Op::Sdg,  Op::T,    Op::Tdg,
+                       Op::CNOT, Op::Swap, Op::Measure};
+    Rng rng(20190131, "qasm-fixpoint");
+    for (int i = 0; i < 200; ++i) {
+        const int qubits = rng.uniformInt(2, 130);
+        const int clbits = rng.uniformInt(1, 130);
+        Circuit c("fixpoint-" + std::to_string(i), qubits, clbits);
+        for (int n = rng.uniformInt(0, 300); n > 0; --n) {
+            const Op op = kOps[rng.uniformInt(0, 10)];
+            const int a = rng.uniformInt(0, qubits - 1);
+            const int b = (a + rng.uniformInt(1, qubits - 1)) % qubits;
+            if (op == Op::Measure)
+                c.measure(a, rng.uniformInt(0, clbits - 1));
+            else
+                c.add({op, a, opIsTwoQubit(op) ? b : kInvalidQubit, -1});
+        }
+        const std::string text = emitQasm(c);
+        ASSERT_EQ(emitQasm(parseQasm(text, c.name())), text) << text;
+    }
+}
+
 class QasmRoundTrip : public ::testing::TestWithParam<std::string>
 {
 };
