@@ -12,7 +12,10 @@
 #      re-verify against one-shot naqc on that day,
 #   3. restart the daemon on the same cache directory and assert the
 #      whole working set is served from the persistent disk cache,
-#   4. clean shutdown.
+#   4. submit malformed QASM inline and an out-of-range protocol
+#      value: each must get an err reply while the daemon keeps
+#      answering,
+#   5. clean shutdown.
 #
 # Usage: daemon_smoke.sh BUILD_DIR OUT_JSON
 
@@ -144,6 +147,27 @@ CORRUPT=$(stat_counter disk_corrupt)
 # and none may have needed healing (the cache directory is healthy).
 VERIFIED=$(stat_counter disk_verified)
 HEALED=$(stat_counter disk_healed)
+
+echo "== phase 4: hostile input gets err replies =="
+printf 'OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[5];\n' > "$WORK/bad1.qasm"
+printf 'OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[1];\n' > "$WORK/bad2.qasm"
+printf 'OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[7];\n' \
+    > "$WORK/bad3.qasm"
+for f in bad1 bad2 bad3; do
+    "$CLIENT" --socket "$SOCK" submit --qasm "$WORK/$f.qasm" --wait \
+        > /dev/null 2> "$WORK/$f.result"
+    rc=$?
+    [ "$rc" = "1" ] && grep -q "^err reason=qasm_line" "$WORK/$f.result" \
+        || fail "$f: expected an err reply, got exit $rc: $(cat "$WORK/$f.result")"
+done
+"$CLIENT" --socket "$SOCK" submit --bench BV4 --portfolio \
+    --portfolio-deadline-ms 4294967297 > /dev/null 2> "$WORK/deadline.result"
+rc=$?
+[ "$rc" = "1" ] && grep -q "^err reason=bad_portfolio_deadline_ms" \
+    "$WORK/deadline.result" \
+    || fail "deadline above UINT_MAX: exit $rc: $(cat "$WORK/deadline.result")"
+"$CLIENT" --socket "$SOCK" ping 2>&1 | grep -q "^ok pong" \
+    || fail "daemon stopped answering after hostile input"
 
 "$CLIENT" --socket "$SOCK" shutdown > /dev/null 2>&1 \
     || fail "final shutdown request"
