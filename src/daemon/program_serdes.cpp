@@ -260,7 +260,7 @@ payloadSizeHint(const CompiledProgram &p)
     std::size_t size = 256 + p.mapperName.size() + p.programName.size() +
                        p.solverStatus.size() +
                        4 * (p.layout.size() + p.junctions.size()) +
-                       30 * p.schedule.ops.size() +
+                       34 * p.schedule.ops.size() +
                        20 * p.schedule.macros.size() +
                        8 * p.schedule.qubitFinish.size();
     for (const StageTrace &t : p.stageTraces)
