@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include <fcntl.h>
 #include <sys/stat.h>
@@ -37,7 +38,7 @@ readFile(const std::string &path, std::string &bytes)
     const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
     if (fd < 0)
         return false;
-    struct stat st;
+    struct stat st {};
     if (::fstat(fd, &st) == 0 && st.st_size > 0)
         bytes.resize(static_cast<std::size_t>(st.st_size));
     std::size_t got = 0;
@@ -53,27 +54,6 @@ readFile(const std::string &path, std::string &bytes)
     bytes.resize(got);
     ::close(fd);
     return true;
-}
-
-/** Create (or truncate) `path` and write all of `bytes` to it. */
-bool
-writeFile(const std::string &path, const std::string &bytes)
-{
-    const int fd =
-        ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0666);
-    if (fd < 0)
-        return false;
-    std::size_t sent = 0;
-    while (sent < bytes.size()) {
-        const ssize_t n =
-            ::write(fd, bytes.data() + sent, bytes.size() - sent);
-        if (n < 0 && errno == EINTR)
-            continue;
-        if (n <= 0)
-            break;
-        sent += static_cast<std::size_t>(n);
-    }
-    return ::close(fd) == 0 && sent == bytes.size();
 }
 
 } // namespace
@@ -152,7 +132,15 @@ DiskCacheStore::store(const service::CacheKey &key,
     const std::string temp =
         path + ".tmp." + std::to_string(serial);
 
-    bool ok = writeFile(temp, bytes);
+    bool ok = false;
+    {
+        std::ofstream out(temp,
+                          std::ios::binary | std::ios::trunc);
+        ok = static_cast<bool>(out.write(bytes.data(),
+                                         static_cast<std::streamsize>(
+                                             bytes.size())));
+        ok = ok && static_cast<bool>(out.flush());
+    }
     if (ok) {
         std::error_code ec;
         fs::rename(temp, path, ec);

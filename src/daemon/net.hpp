@@ -61,7 +61,7 @@ class LineChannel
     int fd_ = -1;
     std::string buffer_;      ///< bytes read; those before head_ returned
     std::size_t head_ = 0;    ///< start of the first unreturned line
-    std::size_t scanned_ = 0; ///< bytes before this hold no '\n' past head_
+    std::size_t scanned_ = 0; ///< no '\n' in [head_, scanned_)
 };
 
 } // namespace qc::daemon

@@ -250,22 +250,14 @@ getGate(ByteReader &r, Gate &g)
     return r.getI32(g.q0) && r.getI32(g.q1) && r.getI32(g.cbit);
 }
 
-/**
- * Payload bytes of a program: exact for the arrays and strings, with
- * slack for the fixed fields, so the writer rarely has to grow.
- */
+/** Payload bytes of a program: its arrays, plus slack for the rest. */
 std::size_t
 payloadSizeHint(const CompiledProgram &p)
 {
-    std::size_t size = 256 + p.mapperName.size() + p.programName.size() +
-                       p.solverStatus.size() +
-                       4 * (p.layout.size() + p.junctions.size()) +
-                       34 * p.schedule.ops.size() +
-                       20 * p.schedule.macros.size() +
-                       8 * p.schedule.qubitFinish.size();
-    for (const StageTrace &t : p.stageTraces)
-        size += 32 + t.stage.size() + t.pass.size() + t.note.size();
-    return size;
+    const Schedule &s = p.schedule;
+    return 1024 + 4 * (p.layout.size() + p.junctions.size()) +
+           34 * s.ops.size() + 20 * s.macros.size() +
+           8 * s.qubitFinish.size();
 }
 
 void

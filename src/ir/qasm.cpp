@@ -63,9 +63,11 @@ emitQasm(const Circuit &circuit)
     // known bound and the text is sized once.
     const std::size_t q = indexDigits(circuit.numQubits());
     const std::size_t c = indexDigits(circuit.numClbits());
-    const std::size_t cx_line = 12 + 2 * q; // cx q[a],q[b];
+    const std::size_t reg_line =
+        10 + std::numeric_limits<int>::digits10 + 1; // qreg q[n];
+    const std::size_t cx_line = 12 + 2 * q;          // cx q[a],q[b];
     std::size_t size = 3 + circuit.name().size() + 1 + kPreamble.size() +
-                       2 * (10 + std::numeric_limits<int>::digits10 + 1);
+                       2 * reg_line;
     for (const auto &g : circuit.gates()) {
         switch (g.op) {
           case Op::Swap: size += 3 * cx_line; break;
