@@ -372,6 +372,49 @@ TEST(Daemon, ShutdownRejectsNewSubmits)
     EXPECT_EQ(out.reason, "rejected:shutting-down");
 }
 
+TEST(Daemon, FailedAndDegradedJobsAreServedButNeverCached)
+{
+    ScratchDir scratch("no-cache");
+    DaemonOptions opts = fastOptions();
+    opts.cacheDir = scratch.path.string();
+
+    // T2 windows shorter than any gate make the SMT coherence
+    // constraints unsatisfiable: T-SMT* degrades to its fallback.
+    Calibration cal = test::uniformCalibration(topo());
+    cal.t2Us.assign(topo().numQubits(), 1e-3);
+    CompileDaemon d(topo(), cal, opts);
+
+    CompilerOptions tsmt;
+    tsmt.mapper = MapperKind::TSmtStar;
+    const Circuit bv4 = benchmarkByName("BV4").circuit;
+    for (const char *tag : {"degraded-1", "degraded-2"}) {
+        SCOPED_TRACE(tag);
+        CompileDaemon::SubmitOutcome out =
+            d.submit("t0", Lane::Normal, bv4, tsmt, tag);
+        ASSERT_TRUE(out.accepted) << out.reason;
+        JobSnapshot snap;
+        ASSERT_TRUE(d.wait(out.id, snap));
+        EXPECT_TRUE(snap.result.ok) << snap.result.error();
+        EXPECT_EQ(snap.result.status.code, CompileStatusCode::Infeasible);
+        EXPECT_EQ(snap.cacheSource, daemon::CacheSource::None);
+        EXPECT_NE(snap.result.program, nullptr);
+    }
+
+    Circuit big("big", 9); // 9 qubits on an 8-qubit grid
+    big.h(8);
+    big.measure(8, 0);
+    JobSnapshot failed = submitAndWait(d, big);
+    EXPECT_FALSE(failed.result.ok);
+    EXPECT_EQ(failed.result.status.code, CompileStatusCode::Infeasible);
+    EXPECT_EQ(failed.result.program, nullptr);
+    EXPECT_EQ(failed.result.machine, nullptr);
+
+    daemon::DaemonStats stats = d.stats();
+    EXPECT_EQ(stats.memCache.entries, 0u);
+    EXPECT_EQ(stats.disk.stores, 0u);
+    EXPECT_EQ(stats.diskEntries, 0u);
+}
+
 // ---------------------------------------------------------------- //
 // Daemon: persistent cache
 // ---------------------------------------------------------------- //

@@ -17,6 +17,7 @@
 #include "service/fingerprints.hpp"
 #include "support/fingerprint.hpp"
 #include "tests/test_util.hpp"
+#include "workloads/benchmarks.hpp"
 #include "workloads/random_circuits.hpp"
 
 namespace {
@@ -523,6 +524,73 @@ TEST(CompileService, JobErrorsAreIsolated)
     EXPECT_NE(text.find("jobs: 2"), std::string::npos);
     EXPECT_NE(text.find("stage breakdown"), std::string::npos);
     EXPECT_NE(text.find("failed here"), std::string::npos);
+}
+
+TEST(CompileService, DegradedResultIsServedButNeverCached)
+{
+    // T2 windows shorter than any gate make the SMT coherence
+    // constraints unsatisfiable, deterministically: T-SMT* falls back
+    // to the trivial layout and reports the solver failure.
+    GridTopology topo = GridTopology::ibmq16();
+    Calibration cal = test::uniformCalibration(topo);
+    cal.t2Us.assign(topo.numQubits(), 1e-3);
+
+    CompileRequest req;
+    req.tag = "degraded";
+    req.circuit = benchmarkByName("BV4").circuit;
+    req.topo = topo;
+    req.cal = cal;
+    req.options.mapper = MapperKind::TSmtStar;
+
+    CompileService svc;
+    for (int round = 0; round < 2; ++round) {
+        SCOPED_TRACE(round);
+        BatchResult batch = svc.compileBatch({req});
+        const CompileResult &r = batch.results[0];
+        ASSERT_TRUE(r.ok) << r.error();
+        EXPECT_FALSE(r.cacheHit);
+        EXPECT_EQ(r.status.code, CompileStatusCode::Infeasible);
+        EXPECT_EQ(r.failedStage, "placement");
+        EXPECT_NE(r.program, nullptr);
+        EXPECT_NE(r.machine, nullptr);
+        EXPECT_EQ(batch.report.degraded, 1);
+        EXPECT_EQ(batch.report.cacheHits, 0);
+    }
+    EXPECT_EQ(svc.cacheStats().entries, 0u);
+}
+
+TEST(CompileService, CalibrationNotFittingItsTopologyIsAnInternalError)
+{
+    CompileRequest good;
+    good.tag = "good";
+    good.circuit = benchmarkByName("BV4").circuit;
+    good.topo = GridTopology::ibmq16();
+    good.cal = CalibrationModel(good.topo, test::kSeed).forDay(0);
+    good.options.mapper = MapperKind::GreedyE;
+
+    // Building the machine snapshot throws; the job fails on its own.
+    CompileRequest bad = good;
+    bad.tag = "bad";
+    bad.cal = test::uniformCalibration(GridTopology(2, 2));
+
+    ServiceOptions opts;
+    opts.threads = 2;
+    CompileService svc(opts);
+    BatchResult batch = svc.compileBatch({good, bad});
+
+    EXPECT_TRUE(batch.results[0].ok);
+    EXPECT_TRUE(batch.results[0].status.ok());
+    const CompileResult &r = batch.results[1];
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.status.code, CompileStatusCode::InternalError);
+    EXPECT_NE(r.error().find(
+                  "calibration qubit-vector arity mismatch for grid2x8"),
+              std::string::npos)
+        << r.error();
+    EXPECT_EQ(r.program, nullptr);
+    EXPECT_EQ(r.machine, nullptr);
+    EXPECT_EQ(batch.report.succeeded, 1);
+    EXPECT_EQ(batch.report.failed, 1);
 }
 
 TEST(CompileService, SubmitSingleJob)
