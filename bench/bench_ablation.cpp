@@ -160,7 +160,7 @@ main(int argc, char **argv)
     bench::banner("Ablations: omega sweep, solver engines, channels",
                   seed);
     ExperimentEnv env(seed);
-    Machine m = env.machineForDay(0);
+    auto m = std::make_shared<const Machine>(env.machineForDay(0));
 
     // (1) Omega sweep on the three Fig. 7 benchmarks.
     {
@@ -195,7 +195,7 @@ main(int argc, char **argv)
             Benchmark b = benchmarkByName(name);
 
             auto t0 = std::chrono::steady_clock::now();
-            BnbPlacer bnb(m, b.circuit);
+            BnbPlacer bnb(*m, b.circuit);
             BnbResult br = bnb.solve();
             double bnb_s = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
@@ -205,10 +205,9 @@ main(int argc, char **argv)
             o.mapper = MapperKind::RSmtStar;
             o.smtTimeoutMs = kBenchSmtTimeoutMs;
             o.jointScheduling = false; // same problem as the BnB
-            auto mapper = NoiseAdaptiveCompiler::makeMapper(m, o);
-            CompiledProgram cp = mapper->compile(b.circuit);
+            CompiledProgram cp = standardPipeline(m, o).compile(b.circuit);
 
-            double z3_obj = evaluateReliability(b.circuit, cp.layout, m)
+            double z3_obj = evaluateReliability(b.circuit, cp.layout, *m)
                                 .weighted(0.5);
             bool agree = std::abs(z3_obj - br.objective) < 1e-6;
             t.addRow({name, Table::fmt(bnb_s, 4),
@@ -252,8 +251,7 @@ main(int argc, char **argv)
         CompilerOptions o;
         o.mapper = MapperKind::RSmtStar;
         o.smtTimeoutMs = kBenchSmtTimeoutMs;
-        auto mapper = NoiseAdaptiveCompiler::makeMapper(m, o);
-        CompiledProgram cp = mapper->compile(b.circuit);
+        CompiledProgram cp = standardPipeline(m, o).compile(b.circuit);
 
         auto rate = [&](bool gates, bool readout, bool decoh) {
             ExecutionOptions e;
@@ -262,7 +260,7 @@ main(int argc, char **argv)
             e.noise.gateErrors = gates;
             e.noise.readoutErrors = readout;
             e.noise.decoherence = decoh;
-            return runNoisy(m, cp.schedule, b.circuit.numClbits(),
+            return runNoisy(*m, cp.schedule, b.circuit.numClbits(),
                             b.expected, e)
                 .successRate;
         };
@@ -319,7 +317,8 @@ main(int argc, char **argv)
         for (Shape s : {Shape{1, 16}, Shape{2, 8}, Shape{4, 4}}) {
             GridTopology topo(s.rows, s.cols);
             CalibrationModel model(topo, seed);
-            Machine machine(topo, model.forDay(0));
+            auto machine =
+                std::make_shared<const Machine>(topo, model.forDay(0));
             CompilerOptions o;
             o.mapper = MapperKind::RSmtStar;
             o.smtTimeoutMs = kBenchSmtTimeoutMs;

@@ -20,7 +20,7 @@ main()
     const int trials = bench::benchTrials();
     bench::banner("Figure 10: heuristics vs optimal", seed);
     ExperimentEnv env(seed);
-    Machine m = env.machineForDay(0);
+    auto m = std::make_shared<const Machine>(env.machineForDay(0));
 
     CompilerOptions rsmt;
     rsmt.mapper = MapperKind::RSmtStar;

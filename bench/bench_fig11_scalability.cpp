@@ -62,7 +62,7 @@ main()
     for (const auto &p : points) {
         GridTopology topo = gridFor(p.qubits);
         CalibrationModel model(topo, seed);
-        Machine m(topo, model.forDay(0));
+        auto m = std::make_shared<const Machine>(topo, model.forDay(0));
 
         RandomCircuitSpec spec;
         spec.numQubits = p.qubits;
@@ -72,8 +72,7 @@ main()
 
         CompilerOptions greedy;
         greedy.mapper = MapperKind::GreedyE;
-        auto gm = NoiseAdaptiveCompiler::makeMapper(m, greedy);
-        CompiledProgram gcp = gm->compile(prog);
+        CompiledProgram gcp = standardPipeline(m, greedy).compile(prog);
 
         std::string smt_time = "-";
         std::string smt_opt = "skipped (budget)";
@@ -81,8 +80,7 @@ main()
             CompilerOptions rsmt;
             rsmt.mapper = MapperKind::RSmtStar;
             rsmt.smtTimeoutMs = smt_budget;
-            auto rm = NoiseAdaptiveCompiler::makeMapper(m, rsmt);
-            CompiledProgram rcp = rm->compile(prog);
+            CompiledProgram rcp = standardPipeline(m, rsmt).compile(prog);
             smt_time = Table::fmt(rcp.compileSeconds, 2);
             smt_opt = rcp.solverOptimal ? "yes"
                                         : "no (capped at " +

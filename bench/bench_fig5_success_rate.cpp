@@ -20,7 +20,7 @@ main()
     bench::banner("Figure 5: success rate vs the Qiskit baseline",
                   seed);
     ExperimentEnv env(seed);
-    Machine m = env.machineForDay(0);
+    auto m = std::make_shared<const Machine>(env.machineForDay(0));
 
     CompilerOptions qiskit;
     qiskit.mapper = MapperKind::Qiskit;

@@ -35,7 +35,7 @@ main()
 
     std::vector<double> t_rates, r_rates;
     for (int day = 0; day < 7; ++day) {
-        Machine m = env.machineForDay(day);
+        auto m = std::make_shared<const Machine>(env.machineForDay(day));
         std::vector<std::string> row{
             Table::fmt(static_cast<long long>(day))};
         for (const auto &n : names) {

@@ -17,7 +17,7 @@ main()
     const int trials = bench::benchTrials();
     bench::banner("Figure 7: choice of optimization objective", seed);
     ExperimentEnv env(seed);
-    Machine m = env.machineForDay(0);
+    auto m = std::make_shared<const Machine>(env.machineForDay(0));
 
     struct Config
     {

@@ -59,7 +59,7 @@ main()
     const std::uint64_t seed = bench::benchSeed();
     bench::banner("Figure 8: BV4 mappings by objective", seed);
     ExperimentEnv env(seed);
-    Machine m = env.machineForDay(0);
+    auto m = std::make_shared<const Machine>(env.machineForDay(0));
     Benchmark b = benchmarkByName("BV4");
 
     std::vector<CompilerOptions> configs(4);
@@ -72,11 +72,8 @@ main()
     for (auto &c : configs)
         c.smtTimeoutMs = kBenchSmtTimeoutMs;
 
-    for (const auto &c : configs) {
-        auto mapper = NoiseAdaptiveCompiler::makeMapper(m, c);
-        CompiledProgram cp = mapper->compile(b.circuit);
-        renderMapping(m, cp);
-    }
+    for (const auto &c : configs)
+        renderMapping(*m, standardPipeline(m, c).compile(b.circuit));
 
     std::cout << "Paper shape: Qiskit needs SWAPs and lands on poor "
                  "readout qubits;\nT-SMT* avoids SWAPs but may use an "

@@ -17,7 +17,7 @@ main()
     const std::uint64_t seed = bench::benchSeed();
     bench::banner("Figure 9: execution duration by variant", seed);
     ExperimentEnv env(seed);
-    Machine m = env.machineForDay(0);
+    auto m = std::make_shared<const Machine>(env.machineForDay(0));
 
     struct Config
     {
@@ -49,10 +49,8 @@ main()
     for (const auto &b : paperBenchmarks()) {
         std::vector<std::string> row{b.name};
         for (size_t i = 0; i < configs.size(); ++i) {
-            auto mapper =
-                NoiseAdaptiveCompiler::makeMapper(m,
-                                                  configs[i].options);
-            CompiledProgram cp = mapper->compile(b.circuit);
+            CompiledProgram cp =
+                standardPipeline(m, configs[i].options).compile(b.circuit);
             row.push_back(
                 Table::fmt(static_cast<long long>(cp.duration)));
             if (i == 0)

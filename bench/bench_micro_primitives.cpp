@@ -8,7 +8,6 @@
 #include <benchmark/benchmark.h>
 
 #include "core/experiment.hpp"
-#include "mappers/greedy_mapper.hpp"
 #include "solver/bnb_placer.hpp"
 #include "workloads/random_circuits.hpp"
 
@@ -23,6 +22,15 @@ env()
 {
     static ExperimentEnv e(kSeed);
     return e;
+}
+
+/** The GreedyE* bundle on `machine`. */
+Pipeline
+greedyEPipeline(std::shared_ptr<const Machine> machine)
+{
+    CompilerOptions opts;
+    opts.mapper = MapperKind::GreedyE;
+    return standardPipeline(std::move(machine), opts);
 }
 
 void
@@ -57,16 +65,15 @@ BENCHMARK(BM_StatevectorCnotLadder)->Arg(8)->Arg(16);
 void
 BM_MonteCarloTrialBv4(benchmark::State &state)
 {
-    Machine m = env().machineForDay(0);
+    auto m = std::make_shared<const Machine>(env().machineForDay(0));
     Benchmark b = benchmarkByName("BV4");
-    GreedyEMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = greedyEPipeline(m).compile(b.circuit);
     std::uint64_t seed = 0;
     for (auto _ : state) {
         ExecutionOptions opts;
         opts.trials = 1;
         opts.seed = ++seed;
-        auto r = runNoisy(m, cp.schedule, b.circuit.numClbits(),
+        auto r = runNoisy(*m, cp.schedule, b.circuit.numClbits(),
                           b.expected, opts);
         benchmark::DoNotOptimize(r.successes);
     }
@@ -104,15 +111,15 @@ BM_GreedyEMapRandom(benchmark::State &state)
     const int qubits = static_cast<int>(state.range(0));
     GridTopology topo(qubits <= 16 ? 2 : 4, qubits <= 16 ? 8 : 8);
     CalibrationModel model(topo, kSeed);
-    Machine m(topo, model.forDay(0));
+    auto m = std::make_shared<const Machine>(topo, model.forDay(0));
     RandomCircuitSpec spec;
     spec.numQubits = qubits;
     spec.numGates = 256;
     spec.seed = kSeed;
     Circuit prog = makeRandomCircuit(spec);
-    GreedyEMapper mapper(m);
+    Pipeline pipeline = greedyEPipeline(m);
     for (auto _ : state) {
-        CompiledProgram cp = mapper.compile(prog);
+        CompiledProgram cp = pipeline.compile(prog);
         benchmark::DoNotOptimize(cp.duration);
     }
 }

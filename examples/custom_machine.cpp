@@ -55,7 +55,7 @@ badCornerGrid()
         }
     }
     cal.validate(topo);
-    Machine machine(topo, cal);
+    auto machine = std::make_shared<const Machine>(topo, cal);
 
     // 3. Compile the Toffoli kernel with every variant and measure.
     Benchmark bench = benchmarkByName("Toffoli");
@@ -117,7 +117,7 @@ bringYourOwnGraph()
          {std::pair<Topology, Calibration>{heavyhex,
                                            uniformCal(heavyhex)},
           std::pair<Topology, Calibration>{ring, ring_cal}}) {
-        Machine machine(topo, cal);
+        auto machine = std::make_shared<const Machine>(topo, cal);
         for (MapperKind kind : {MapperKind::Qiskit, MapperKind::GreedyE,
                                 MapperKind::RSmtStar}) {
             CompilerOptions opts;

@@ -38,7 +38,7 @@ main(int argc, char **argv)
     for (const auto &s : sizes) {
         GridTopology topo(s.rows, s.cols);
         CalibrationModel model(topo, seed);
-        Machine m(topo, model.forDay(0));
+        auto m = std::make_shared<const Machine>(topo, model.forDay(0));
 
         RandomCircuitSpec spec;
         spec.numQubits = s.qubits;
@@ -50,18 +50,15 @@ main(int argc, char **argv)
         ge.mapper = MapperKind::GreedyE;
         CompilerOptions gv;
         gv.mapper = MapperKind::GreedyV;
-        auto ge_cp =
-            NoiseAdaptiveCompiler::makeMapper(m, ge)->compile(prog);
-        auto gv_cp =
-            NoiseAdaptiveCompiler::makeMapper(m, gv)->compile(prog);
+        auto ge_cp = standardPipeline(m, ge).compile(prog);
+        auto gv_cp = standardPipeline(m, gv).compile(prog);
 
         std::string smt_cell = "(skipped; pass --with-smt)";
         if (with_smt && s.qubits <= 16) {
             CompilerOptions rs;
             rs.mapper = MapperKind::RSmtStar;
             rs.smtTimeoutMs = 15'000;
-            auto rs_cp =
-                NoiseAdaptiveCompiler::makeMapper(m, rs)->compile(prog);
+            auto rs_cp = standardPipeline(m, rs).compile(prog);
             smt_cell = Table::fmt(rs_cp.compileSeconds, 2) +
                        (rs_cp.solverOptimal ? "" : " (capped)");
         } else if (with_smt) {

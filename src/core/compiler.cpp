@@ -3,8 +3,6 @@
 #include <cctype>
 
 #include "core/passes.hpp"
-#include "mappers/greedy_mapper.hpp"
-#include "mappers/qiskit_baseline.hpp"
 #include "mappers/smt_mapper.hpp"
 #include "support/logging.hpp"
 
@@ -123,20 +121,17 @@ standardPipeline(std::shared_ptr<const Machine> machine,
                                             options.referenceScheduler))
             .build();
       case MapperKind::GreedyV:
-      case MapperKind::GreedyE: {
-        // Same "Best Path" routing setup the legacy greedy mappers
-        // use — one definition, shared.
-        SchedulerOptions greedy = greedySchedulerOptions();
+      case MapperKind::GreedyE:
+        // "Best Path": most-reliable Dijkstra paths, reserved as 1BP.
         return builder
             .placement(options.mapper == MapperKind::GreedyV
                            ? passes::greedyVertex()
                            : passes::greedyEdge())
-            .routing(passes::routeSelection(greedy.policy,
-                                            greedy.select,
-                                            greedy.calibratedDurations,
+            .routing(passes::routeSelection(RoutingPolicy::OneBendPath,
+                                            RouteSelect::Dijkstra,
+                                            true,
                                             options.referenceScheduler))
             .build();
-      }
       case MapperKind::GreedyETrack:
         return builder.placement(passes::greedyEdge())
             .routing(passes::liveRouting())
@@ -217,44 +212,6 @@ NoiseAdaptiveCompiler::compileToQasm(const Circuit &prog) const
 {
     CompiledProgram compiled = compile(prog);
     return emitQasm(compiled.hwCircuit(prog.numClbits()));
-}
-
-std::unique_ptr<Mapper>
-NoiseAdaptiveCompiler::makeMapper(const Machine &machine,
-                                  const CompilerOptions &options)
-{
-    switch (options.mapper) {
-      case MapperKind::Qiskit:
-        return std::make_unique<QiskitBaselineMapper>(machine);
-      case MapperKind::GreedyV:
-        return std::make_unique<GreedyVMapper>(machine);
-      case MapperKind::GreedyE:
-        return std::make_unique<GreedyEMapper>(machine);
-      case MapperKind::GreedyETrack:
-        return std::make_unique<GreedyETrackMapper>(machine);
-      case MapperKind::Sabre: {
-        SabreOptions sabre;
-        sabre.iterations = options.sabreIterations;
-        sabre.lookahead = options.sabreLookahead;
-        return std::make_unique<SabreMapper>(machine, sabre);
-      }
-      case MapperKind::TSmt:
-      case MapperKind::TSmtStar:
-      case MapperKind::RSmtStar: {
-        SmtMapperOptions smt;
-        smt.variant = options.mapper == MapperKind::TSmt
-                          ? SmtVariant::TSmt
-                      : options.mapper == MapperKind::TSmtStar
-                          ? SmtVariant::TSmtStar
-                          : SmtVariant::RSmtStar;
-        smt.policy = options.policy;
-        smt.readoutWeight = options.readoutWeight;
-        smt.timeoutMs = options.smtTimeoutMs;
-        smt.jointScheduling = options.jointScheduling;
-        return std::make_unique<SmtMapper>(machine, smt);
-      }
-    }
-    QC_PANIC("unknown mapper kind");
 }
 
 } // namespace qc

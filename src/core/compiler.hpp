@@ -4,12 +4,12 @@
  *
  * Wraps machine construction (topology + calibration), the Table 1
  * pass bundles, compilation, and OpenQASM emission behind one object.
- * Since the pass-pipeline redesign this is a thin shim over
- * core/pipeline.hpp: standardPipeline() maps each MapperKind to its
- * placement/routing/scheduling/prediction bundle, and
- * NoiseAdaptiveCompiler::compile runs it with the legacy throwing
- * contract. Use the Pipeline API directly for structured status,
- * per-stage traces, or custom pass combinations.
+ * It is a thin shim over core/pipeline.hpp: standardPipeline() maps
+ * each MapperKind to its placement/routing/scheduling/prediction
+ * bundle, and NoiseAdaptiveCompiler::compile runs it, throwing
+ * FatalError when no program comes back. Use the Pipeline API
+ * directly for structured status, per-stage traces, or custom pass
+ * combinations.
  */
 
 #ifndef QC_CORE_COMPILER_HPP
@@ -146,10 +146,10 @@ std::vector<MapperKind> resolvedPortfolioBundles(
 
 /**
  * The Table 1 bundle for `options.mapper` as a pass pipeline:
- * placement (Qiskit baseline / GreedyV* / GreedyE* / SMT variants),
- * route selection, scheduling (list or live-tracking) and
- * reliability prediction, producing bit-identical CompiledPrograms
- * to the legacy monolithic mappers.
+ * placement (Qiskit baseline / GreedyV* / GreedyE* / SMT variants /
+ * Sabre), route selection, scheduling (list or live-tracking) and
+ * reliability prediction — the only implementation of each bundle
+ * (tests/test_grid_identity.cpp pins their outputs).
  */
 Pipeline standardPipeline(std::shared_ptr<const Machine> machine,
                           const CompilerOptions &options);
@@ -174,8 +174,8 @@ class NoiseAdaptiveCompiler
 
     /**
      * Compile a program circuit to a placed, scheduled executable.
-     * Throws FatalError when no program can be produced (the legacy
-     * contract); prefer compileWithStatus for structured errors.
+     * Throws FatalError when no program can be produced; prefer
+     * compileWithStatus for structured errors.
      */
     CompiledProgram compile(const Circuit &prog) const;
 
@@ -201,15 +201,6 @@ class NoiseAdaptiveCompiler
 
     /** The pass pipeline this facade runs. */
     const Pipeline &pipeline() const { return pipeline_; }
-
-    /**
-     * Instantiate a legacy monolithic mapper for an externally-owned
-     * machine. Kept as the pre-pipeline reference implementation
-     * (bench harnesses and the pipeline-equivalence test use it).
-     */
-    static std::unique_ptr<Mapper> makeMapper(const Machine &machine,
-                                              const CompilerOptions
-                                                  &options);
 
   private:
     std::shared_ptr<const Machine> machine_;

@@ -15,20 +15,19 @@ ExperimentEnv::machineForDay(int day) const
 }
 
 MeasuredRun
-runMeasured(const Machine &machine, const Benchmark &bench,
-            const CompilerOptions &options, int trials,
-            std::uint64_t exec_seed)
+runMeasured(const std::shared_ptr<const Machine> &machine,
+            const Benchmark &bench, const CompilerOptions &options,
+            int trials, std::uint64_t exec_seed)
 {
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(machine, options);
     MeasuredRun run;
     run.benchmark = bench.name;
-    run.compiled = mapper->compile(bench.circuit);
+    run.compiled = standardPipeline(machine, options).compile(bench.circuit);
     run.mapper = run.compiled.mapperName;
 
     ExecutionOptions exec;
     exec.trials = trials;
     exec.seed = exec_seed;
-    run.execution = runNoisy(machine, run.compiled.schedule,
+    run.execution = runNoisy(*machine, run.compiled.schedule,
                              bench.circuit.numClbits(), bench.expected,
                              exec);
     return run;

@@ -9,6 +9,7 @@
 #define QC_CORE_EXPERIMENT_HPP
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,7 @@ class ExperimentEnv
     const CalibrationModel &calibrationModel() const { return model_; }
     std::uint64_t seed() const { return seed_; }
 
-    /** Machine view of calibration day `day` (references topo()). */
+    /** Machine of calibration day `day`. */
     Machine machineForDay(int day) const;
 
   private:
@@ -56,10 +57,12 @@ struct MeasuredRun
 };
 
 /**
- * Compile a benchmark with the mapper described by `options` and
+ * Compile a benchmark with the bundle described by `options` and
  * measure its success rate over `trials` Monte-Carlo repetitions.
+ * Throws FatalError when the bundle produces no program.
  */
-MeasuredRun runMeasured(const Machine &machine, const Benchmark &bench,
+MeasuredRun runMeasured(const std::shared_ptr<const Machine> &machine,
+                        const Benchmark &bench,
                         const CompilerOptions &options, int trials,
                         std::uint64_t exec_seed);
 

@@ -3,11 +3,9 @@
  * The concrete compiler passes: every Table 1 stage as a composable
  * pipeline element, plus factories for fluent PipelineBuilder use.
  *
- * Placement passes wrap the algorithms the monolithic mappers used
- * (greedyVertexPlacement, greedyEdgePlacement, solveSmtMapping), so a
- * pipeline built from them is bit-identical to the corresponding
- * legacy Mapper — tests/test_pipeline.cpp asserts this for all seven
- * MapperKind bundles on the Table 2 benchmark set.
+ * Placement passes wrap the placement algorithms in mappers/
+ * (greedyVertexPlacement, greedyEdgePlacement, sabrePlacement, and
+ * solveSmtMapping through smtModelOptionsFor).
  */
 
 #ifndef QC_CORE_PASSES_HPP
@@ -46,7 +44,7 @@ std::unique_ptr<PlacementPass> sabrePlacement(SabreOptions options = {});
  * SMT placement (T-SMT / T-SMT* / R-SMT*, paper Sec. 4). On solver
  * failure it installs the trivial fallback layout and reports a
  * degraded solver-timeout / infeasible status — the pipeline still
- * produces a runnable program, exactly like SmtMapper did.
+ * produces a runnable program.
  */
 std::unique_ptr<PlacementPass> smt(SmtMapperOptions options);
 
@@ -84,7 +82,7 @@ trackingScheduling(TrackingOptions options = {});
 /**
  * Route-exact reliability prediction: per-CNOT routed EC values and
  * readout reliabilities under the scheduler's own route choices
- * (identical to the legacy Mapper::finalize accounting).
+ * (predictLogReliability).
  */
 std::unique_ptr<PredictionPass> reliabilityPrediction();
 

@@ -175,7 +175,7 @@ Pipeline::compile(const Circuit &prog) const
     PipelineResult result = run(prog);
     if (!result.hasProgram)
         throw FatalError(result.status.message);
-    // Verification failures stay loud under the legacy contract:
+    // Verification failures stay loud under the throwing contract:
     // returning a program the validator rejected would hand callers a
     // silently-broken executable.
     if (result.status.code == CompileStatusCode::VerifyFailed)

@@ -235,10 +235,9 @@ class Pipeline
                        const CancelToken *cancel = nullptr) const;
 
     /**
-     * Legacy-contract convenience: return the program, throwing
-     * FatalError when no program could be produced (matches the old
-     * Mapper::compile behavior; degraded solver fallbacks still
-     * return their program, as SmtMapper always did).
+     * Throwing convenience: return the program, throwing FatalError
+     * when no program could be produced or the validator rejected it
+     * (degraded solver fallbacks still return their program).
      */
     CompiledProgram compile(const Circuit &prog) const;
 

@@ -1,7 +1,6 @@
 #include "greedy_mapper.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <limits>
 
@@ -11,8 +10,6 @@
 namespace qc {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /** Best-readout free hardware qubit (for isolated program qubits). */
 HwQubit
@@ -33,16 +30,6 @@ bestFreeReadout(const Machine &machine, const std::vector<bool> &used)
 }
 
 } // namespace
-
-SchedulerOptions
-greedySchedulerOptions()
-{
-    SchedulerOptions opts;
-    opts.policy = RoutingPolicy::OneBendPath;
-    opts.select = RouteSelect::Dijkstra;
-    opts.calibratedDurations = true;
-    return opts;
-}
 
 HwQubit
 bestAttachedLocation(
@@ -150,19 +137,6 @@ greedyVertexPlacement(const Machine &machine_, const Circuit &prog)
     }
 
     return layout;
-}
-
-CompiledProgram
-GreedyVMapper::compile(const Circuit &prog)
-{
-    auto t0 = Clock::now();
-    CompiledProgram out =
-        finalize(prog, greedyVertexPlacement(machine_, prog),
-                 greedySchedulerOptions());
-    out.mapperName = name();
-    out.compileSeconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    return out;
 }
 
 std::vector<HwQubit>
@@ -295,31 +269,6 @@ greedyEdgePlacement(const Machine &machine, const Circuit &prog)
     }
 
     return layout;
-}
-
-CompiledProgram
-GreedyEMapper::compile(const Circuit &prog)
-{
-    auto t0 = Clock::now();
-    CompiledProgram out =
-        finalize(prog, greedyEdgePlacement(machine_, prog),
-                 greedySchedulerOptions());
-    out.mapperName = name();
-    out.compileSeconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    return out;
-}
-
-CompiledProgram
-GreedyETrackMapper::compile(const Circuit &prog)
-{
-    auto t0 = Clock::now();
-    CompiledProgram out = finalizeTracked(
-        machine_, prog, greedyEdgePlacement(machine_, prog));
-    out.mapperName = name();
-    out.compileSeconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    return out;
 }
 
 } // namespace qc

@@ -17,57 +17,6 @@
 namespace qc {
 
 /**
- * GreedyV*: place program qubits in descending CNOT-degree order; the
- * first qubit goes to the best-readout high-degree hardware location,
- * each subsequent qubit to the free location with the most reliable
- * paths to its already-placed neighbors.
- */
-class GreedyVMapper : public Mapper
-{
-  public:
-    explicit GreedyVMapper(const Machine &machine) : Mapper(machine) {}
-
-    std::string name() const override { return "GreedyV*"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-};
-
-/**
- * GreedyE*: place program CNOT edges in descending weight order; the
- * heaviest edge goes to the hardware edge with maximal combined CNOT
- * and readout reliability, then unmapped endpoints are attached to
- * maximize path reliability to their placed neighbors.
- */
-class GreedyEMapper : public Mapper
-{
-  public:
-    explicit GreedyEMapper(const Machine &machine) : Mapper(machine) {}
-
-    std::string name() const override { return "GreedyE*"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-};
-
-/**
- * GreedyE*+track: GreedyE*'s initial placement combined with the
- * live-tracking router (one-way SWAP chains, drifting layout) instead
- * of the paper's SWAP-and-restore scheme — the restore-vs-track
- * ablation called out in DESIGN.md.
- */
-class GreedyETrackMapper : public Mapper
-{
-  public:
-    explicit GreedyETrackMapper(const Machine &machine)
-        : Mapper(machine)
-    {
-    }
-
-    std::string name() const override { return "GreedyE*+track"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-};
-
-/**
  * Shared placement utility: the free hardware location minimizing the
  * weighted sum of most-reliable-path costs to the placed neighbors of
  * program qubit q (ties: better readout, then lower id). Returns
@@ -79,24 +28,25 @@ HwQubit bestAttachedLocation(const Machine &machine,
                              const std::vector<bool> &used);
 
 /**
- * GreedyE*'s placement pass alone: heaviest-edge-first placement of
- * the program interaction graph onto the machine (Sec. 5.2). Shared
- * by GreedyEMapper, GreedyETrackMapper and the pipeline's
- * greedy-edge placement pass.
+ * GreedyE*'s placement: heaviest-edge-first placement of the program
+ * interaction graph onto the machine (Sec. 5.2). The heaviest edge
+ * goes to the hardware edge with maximal combined CNOT and readout
+ * reliability, then unmapped endpoints are attached to maximize path
+ * reliability to their placed neighbors. The GreedyE* and
+ * GreedyE*+track bundles place with it, and SABRE seeds from it.
  */
 std::vector<HwQubit> greedyEdgePlacement(const Machine &machine,
                                          const Circuit &prog);
 
 /**
- * GreedyV*'s placement pass alone: descending CNOT-degree placement
- * of program qubits (Sec. 5.1). Shared by GreedyVMapper and the
- * pipeline's greedy-vertex placement pass.
+ * GreedyV*'s placement: descending CNOT-degree placement of program
+ * qubits (Sec. 5.1). The first qubit goes to the best-readout
+ * high-degree hardware location, each subsequent qubit to the free
+ * location with the most reliable paths to its already-placed
+ * neighbors.
  */
 std::vector<HwQubit> greedyVertexPlacement(const Machine &machine,
                                            const Circuit &prog);
-
-/** Scheduler setup shared by the greedy heuristics ("Best Path"). */
-SchedulerOptions greedySchedulerOptions();
 
 } // namespace qc
 

@@ -2,9 +2,6 @@
 
 #include <cmath>
 
-#include "sched/tracking_router.hpp"
-#include "support/logging.hpp"
-
 namespace qc {
 
 Circuit
@@ -31,44 +28,6 @@ predictLogReliability(const Machine &machine, const Circuit &prog,
         }
     }
     return log_rel;
-}
-
-CompiledProgram
-finalizeTracked(const Machine &machine, const Circuit &prog,
-                std::vector<HwQubit> layout)
-{
-    TrackingRouter router(machine);
-    TrackingResult routed = router.run(prog, layout);
-
-    CompiledProgram out;
-    out.programName = prog.name();
-    out.layout = std::move(layout);
-    out.schedule = std::move(routed.schedule);
-    out.duration = out.schedule.makespan;
-    out.swapCount = routed.swapCount;
-    out.predictedSuccess = routed.predictedSuccess;
-    out.logReliability = std::log(routed.predictedSuccess);
-    return out;
-}
-
-CompiledProgram
-Mapper::finalize(const Circuit &prog, std::vector<HwQubit> layout,
-                 const SchedulerOptions &sched_options) const
-{
-    validateLayout(layout, prog.numQubits(), machine_.numQubits());
-
-    ListScheduler scheduler(machine_, sched_options);
-    CompiledProgram out;
-    out.programName = prog.name();
-    out.layout = std::move(layout);
-    out.junctions = sched_options.fixedJunctions;
-    out.schedule = scheduler.run(prog, out.layout);
-    out.duration = out.schedule.makespan;
-    out.swapCount = out.schedule.swapCount();
-    out.logReliability =
-        predictLogReliability(machine_, prog, out.layout, scheduler);
-    out.predictedSuccess = std::exp(out.logReliability);
-    return out;
 }
 
 } // namespace qc

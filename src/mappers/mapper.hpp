@@ -1,13 +1,13 @@
 /**
  * @file
- * Mapper interface and the CompiledProgram artifact every compiler
- * variant produces (Table 1 of the paper enumerates the variants).
+ * The CompiledProgram artifact every compiler bundle produces (Table 1
+ * of the paper enumerates the bundles) and the route-exact
+ * reliability prediction the list-scheduled bundles fill it with.
  */
 
 #ifndef QC_MAPPERS_MAPPER_HPP
 #define QC_MAPPERS_MAPPER_HPP
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -41,11 +41,7 @@ struct CompiledProgram
     bool solverOptimal = true;     ///< solver proved optimality
     std::string solverStatus;      ///< diagnostic (SMT variants)
 
-    /**
-     * Per-stage wall times and notes. Filled by the pass pipeline
-     * (core/pipeline.hpp); empty for programs produced by the legacy
-     * monolithic Mapper::compile path.
-     */
+    /** Per-stage wall times and notes (core/pipeline.hpp). */
     std::vector<StageTrace> stageTraces;
 
     /** Hardware-level circuit (Swaps preserved; QASM expands them). */
@@ -56,58 +52,12 @@ struct CompiledProgram
  * Eq. 12-style unweighted log-reliability of a program under a fixed
  * layout: the sum of log readout reliabilities and log routed-CNOT EC
  * values, following the scheduler's own route choices so predictions
- * match the emitted code exactly. Shared by Mapper::finalize and the
- * pipeline's prediction pass so the two accountings cannot drift.
+ * match the emitted code exactly (the pipeline's prediction pass).
  */
 double predictLogReliability(const Machine &machine,
                              const Circuit &prog,
                              const std::vector<HwQubit> &layout,
                              const ListScheduler &scheduler);
-
-/**
- * Shared epilogue of the live-tracking mappers (GreedyE*+track,
- * Sabre): route `prog` from `layout` with the TrackingRouter and
- * assemble the CompiledProgram — prediction comes inline from the
- * emitted hardware ops. The caller fills mapperName/compileSeconds.
- */
-CompiledProgram finalizeTracked(const Machine &machine,
-                                const Circuit &prog,
-                                std::vector<HwQubit> layout);
-
-/**
- * Abstract compiler backend: placement + routing + scheduling for one
- * machine-day. Implementations must be deterministic.
- */
-class Mapper
-{
-  public:
-    explicit Mapper(const Machine &machine) : machine_(machine) {}
-    virtual ~Mapper() = default;
-
-    Mapper(const Mapper &) = delete;
-    Mapper &operator=(const Mapper &) = delete;
-
-    /** Human-readable variant name (used in reports). */
-    virtual std::string name() const = 0;
-
-    /** Compile a program circuit. Throws FatalError if it cannot fit. */
-    virtual CompiledProgram compile(const Circuit &prog) = 0;
-
-    const Machine &machine() const { return machine_; }
-
-  protected:
-    /**
-     * Shared epilogue: validate the layout, run the list scheduler,
-     * and fill in the prediction fields. Route reliabilities follow
-     * the scheduler's route choices, so predictions match the emitted
-     * code exactly.
-     */
-    CompiledProgram finalize(const Circuit &prog,
-                             std::vector<HwQubit> layout,
-                             const SchedulerOptions &sched_options) const;
-
-    const Machine &machine_;
-};
 
 } // namespace qc
 

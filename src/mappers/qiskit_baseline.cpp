@@ -1,9 +1,5 @@
 #include "qiskit_baseline.hpp"
 
-#include <chrono>
-
-#include "support/logging.hpp"
-
 namespace qc {
 
 std::vector<HwQubit>
@@ -23,27 +19,6 @@ qiskitRowFirstJunctions(const Circuit &prog)
         if (prog.gate(i).op == Op::CNOT)
             junctions[i] = 0;
     return junctions;
-}
-
-CompiledProgram
-QiskitBaselineMapper::compile(const Circuit &prog)
-{
-    auto t0 = std::chrono::steady_clock::now();
-
-    SchedulerOptions opts;
-    opts.policy = RoutingPolicy::OneBendPath;
-    opts.select = RouteSelect::Fixed;
-    opts.calibratedDurations = true; // hardware runs at real speed
-    opts.fixedJunctions = qiskitRowFirstJunctions(prog);
-
-    CompiledProgram out =
-        finalize(prog, qiskitTrivialLayout(prog), opts);
-    out.mapperName = name();
-    out.compileSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    return out;
 }
 
 } // namespace qc

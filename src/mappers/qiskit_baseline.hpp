@@ -16,8 +16,8 @@ namespace qc {
 
 /**
  * Lexicographic (trivial) placement: program qubit i -> hardware
- * qubit i, exactly what the paper observed Qiskit 0.5.7 doing.
- * Shared by QiskitBaselineMapper and the pipeline's Qiskit pass.
+ * qubit i, exactly what the paper observed Qiskit 0.5.7 doing. Also
+ * the SMT bundles' fallback layout and SABRE's unseeded start.
  */
 std::vector<HwQubit> qiskitTrivialLayout(const Circuit &prog);
 
@@ -26,20 +26,6 @@ std::vector<HwQubit> qiskitTrivialLayout(const Circuit &prog);
  * other gates (no calibration input).
  */
 std::vector<int> qiskitRowFirstJunctions(const Circuit &prog);
-
-/** The paper's industry-standard baseline. */
-class QiskitBaselineMapper : public Mapper
-{
-  public:
-    explicit QiskitBaselineMapper(const Machine &machine)
-        : Mapper(machine)
-    {
-    }
-
-    std::string name() const override { return "Qiskit"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-};
 
 } // namespace qc
 

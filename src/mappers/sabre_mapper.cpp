@@ -1,7 +1,6 @@
 #include "sabre_mapper.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -17,8 +16,6 @@
 namespace qc {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
 
 /** A program CNOT reduced to its qubit pair. */
 struct CnotPair
@@ -566,18 +563,6 @@ SabrePlacementPass::run(CompileContext &ctx) const
         << result.predictedSuccess;
     ctx.addNote(oss.str());
     return CompileStatus::success();
-}
-
-CompiledProgram
-SabreMapper::compile(const Circuit &prog)
-{
-    auto t0 = Clock::now();
-    CompiledProgram out = finalizeTracked(
-        machine_, prog, sabrePlacement(machine_, prog, options_));
-    out.mapperName = name();
-    out.compileSeconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    return out;
 }
 
 } // namespace qc

@@ -118,27 +118,6 @@ class SabrePlacementPass : public PlacementPass
     SabreOptions options_;
 };
 
-/**
- * Legacy monolithic form (the pipeline-equivalence reference, like
- * GreedyETrackMapper): sabre placement + live-tracking routing.
- */
-class SabreMapper : public Mapper
-{
-  public:
-    explicit SabreMapper(const Machine &machine,
-                         SabreOptions options = {})
-        : Mapper(machine), options_(options)
-    {
-    }
-
-    std::string name() const override { return "Sabre"; }
-
-    CompiledProgram compile(const Circuit &prog) override;
-
-  private:
-    SabreOptions options_;
-};
-
 } // namespace qc
 
 #endif // QC_MAPPERS_SABRE_MAPPER_HPP

@@ -1,9 +1,7 @@
 #include "smt_mapper.hpp"
 
-#include <chrono>
 #include <sstream>
 
-#include "mappers/qiskit_baseline.hpp"
 #include "support/logging.hpp"
 
 namespace qc {
@@ -25,11 +23,6 @@ effectiveSmtOptions(SmtMapperOptions options)
     if (options.variant == SmtVariant::RSmtStar)
         options.policy = RoutingPolicy::OneBendPath;
     return options;
-}
-
-SmtMapper::SmtMapper(const Machine &machine, SmtMapperOptions options)
-    : Mapper(machine), options_(effectiveSmtOptions(options))
-{
 }
 
 std::string
@@ -76,59 +69,6 @@ smtModelOptionsFor(const SmtMapperOptions &options, const Circuit &prog)
         break;
     }
     return model;
-}
-
-std::string
-SmtMapper::name() const
-{
-    return smtMapperDisplayName(options_);
-}
-
-CompiledProgram
-SmtMapper::compile(const Circuit &prog)
-{
-    auto t0 = std::chrono::steady_clock::now();
-
-    SmtSolution sol = solveSmtMapping(
-        machine_, prog, smtModelOptionsFor(options_, prog));
-
-    std::vector<HwQubit> layout;
-    SchedulerOptions sched;
-    sched.policy = options_.policy;
-    sched.calibratedDurations = true; // executables run at real speed
-
-    if (sol.feasible) {
-        layout = sol.layout;
-        if (options_.policy == RoutingPolicy::OneBendPath &&
-            !sol.junctions.empty()) {
-            sched.select = RouteSelect::Fixed;
-            sched.fixedJunctions = sol.junctions;
-        } else {
-            sched.select =
-                options_.variant == SmtVariant::RSmtStar
-                    ? RouteSelect::BestReliability
-                    : RouteSelect::BestDuration;
-        }
-    } else {
-        // No model at all (hard timeout / unsat): fall back to the
-        // trivial placement so callers still get a runnable program.
-        QC_WARN("SMT solve failed (", sol.status,
-                ") for ", prog.name(), "; falling back to trivial layout");
-        layout = qiskitTrivialLayout(prog);
-        sched.select = options_.variant == SmtVariant::RSmtStar
-                           ? RouteSelect::BestReliability
-                           : RouteSelect::BestDuration;
-    }
-
-    CompiledProgram out = finalize(prog, std::move(layout), sched);
-    out.mapperName = name();
-    out.solverOptimal = sol.optimal;
-    out.solverStatus = sol.status;
-    out.compileSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    return out;
 }
 
 } // namespace qc

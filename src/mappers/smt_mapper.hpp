@@ -1,6 +1,6 @@
 /**
  * @file
- * SMT-based optimal mappers: T-SMT, T-SMT* and R-SMT* (paper Sec. 4).
+ * SMT-based optimal bundles: T-SMT, T-SMT* and R-SMT* (paper Sec. 4).
  *
  * All three share the Z3 constraint model in solver/smt_model.hpp and
  * differ in objective and calibration use:
@@ -30,7 +30,7 @@ enum class SmtVariant {
 
 const char *smtVariantName(SmtVariant v);
 
-/** Per-instance configuration for SmtMapper. */
+/** Configuration of one SMT bundle (passes::smt). */
 struct SmtMapperOptions
 {
     SmtVariant variant = SmtVariant::RSmtStar;
@@ -61,49 +61,25 @@ inline constexpr int kJointSchedulingCnotLimit = 12;
 
 /**
  * Display name for an SMT configuration ("R-SMT* w=0.5",
- * "T-SMT 1BP", ...) — the mapperName both SmtMapper and the
- * pipeline's SMT bundles report.
+ * "T-SMT 1BP", ...) — the mapperName the SMT bundles report.
  */
 std::string smtMapperDisplayName(const SmtMapperOptions &options);
 
 /**
- * Normalize mapper-level options: R-SMT* performs reliability
+ * Normalize bundle-level options: R-SMT* performs reliability
  * optimization under one-bend paths (paper Sec. 4.4), so its policy
  * is forced to 1BP here — the single place the rule lives, shared by
- * SmtMapper, the SMT placement pass, and the pipeline bundles.
+ * the SMT placement pass and the pipeline bundles.
  */
 SmtMapperOptions effectiveSmtOptions(SmtMapperOptions options);
 
 /**
- * Translate mapper-level options into the Z3 model configuration,
+ * Translate bundle-level options into the Z3 model configuration,
  * including the R-SMT* joint-scheduling escape hatch for programs
- * beyond kJointSchedulingCnotLimit CNOTs. Shared by SmtMapper and
- * the pipeline's SMT placement pass.
+ * beyond kJointSchedulingCnotLimit CNOTs (the SMT placement pass).
  */
 SmtModelOptions smtModelOptionsFor(const SmtMapperOptions &options,
                                    const Circuit &prog);
-
-/**
- * Optimal compilation through Z3.
- *
- * If the solver times out without any model, the mapper falls back to
- * a trivial placement and flags solverOptimal = false with the Z3
- * status recorded in solverStatus.
- */
-class SmtMapper : public Mapper
-{
-  public:
-    SmtMapper(const Machine &machine, SmtMapperOptions options);
-
-    std::string name() const override;
-
-    CompiledProgram compile(const Circuit &prog) override;
-
-    const SmtMapperOptions &options() const { return options_; }
-
-  private:
-    SmtMapperOptions options_;
-};
 
 } // namespace qc
 

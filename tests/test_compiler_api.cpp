@@ -160,7 +160,7 @@ TEST(ExperimentEnv, MachineForDayIsDeterministic)
 TEST(RunMeasured, ProducesConsistentRecord)
 {
     ExperimentEnv env(kSeed);
-    Machine m = env.machineForDay(0);
+    auto m = std::make_shared<const Machine>(env.machineForDay(0));
     CompilerOptions opts;
     opts.mapper = MapperKind::GreedyE;
     Benchmark b = benchmarkByName("HS4");

@@ -14,7 +14,7 @@
 namespace qc {
 namespace {
 
-using test::day0;
+using test::day0Snapshot;
 using test::env;
 using test::expectScheduleWellFormed;
 using test::kSeed;
@@ -33,21 +33,20 @@ class EndToEnd : public ::testing::TestWithParam<E2eCase>
 TEST_P(EndToEnd, CompiledProgramComputesCorrectAnswer)
 {
     const auto &p = GetParam();
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName(p.benchmark);
 
     CompilerOptions opts;
     opts.mapper = p.mapper;
     opts.smtTimeoutMs = 30'000;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(b.circuit);
+    CompiledProgram cp = standardPipeline(m, opts).compile(b.circuit);
 
-    validateLayout(cp.layout, b.circuit.numQubits(), m.numQubits());
-    expectScheduleWellFormed(m, cp.schedule);
+    validateLayout(cp.layout, b.circuit.numQubits(), m->numQubits());
+    expectScheduleWellFormed(*m, cp.schedule);
 
     // Semantic preservation: the placed, routed, scheduled hardware
     // program returns the benchmark's answer on a noise-free machine.
-    auto ideal = runNoisy(m, cp.schedule, b.circuit.numClbits(),
+    auto ideal = runNoisy(*m, cp.schedule, b.circuit.numClbits(),
                           b.expected, noiselessOptions());
     EXPECT_DOUBLE_EQ(ideal.successRate, 1.0)
         << p.benchmark << " mis-compiled by " << cp.mapperName;
@@ -57,7 +56,7 @@ TEST_P(EndToEnd, CompiledProgramComputesCorrectAnswer)
     ExecutionOptions noisy;
     noisy.trials = 300;
     noisy.seed = kSeed;
-    auto real = runNoisy(m, cp.schedule, b.circuit.numClbits(),
+    auto real = runNoisy(*m, cp.schedule, b.circuit.numClbits(),
                          b.expected, noisy);
     EXPECT_GE(real.successRate, 0.0);
     EXPECT_LE(real.successRate, 1.0);
@@ -109,7 +108,7 @@ TEST(PaperHeadlines, RSmtStarBeatsQiskitOnSuccessRate)
     // The paper's headline: noise-adaptive optimal mapping wins by a
     // large factor on real runs (geomean 2.9x). One day, three
     // benchmarks with movement-heavy baselines.
-    Machine m = day0();
+    auto m = day0Snapshot();
     double ratio_product = 1.0;
     int n = 0;
     for (const char *name : {"BV4", "BV8", "HS6"}) {
@@ -145,9 +144,8 @@ TEST(PaperHeadlines, DailyRecompilationAdaptsLayouts)
 
     std::vector<std::vector<HwQubit>> layouts;
     for (int day = 0; day < 5; ++day) {
-        Machine m = env().machineForDay(day);
-        auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-        layouts.push_back(mapper->compile(b.circuit).layout);
+        auto m = std::make_shared<const Machine>(env().machineForDay(day));
+        layouts.push_back(standardPipeline(m, opts).compile(b.circuit).layout);
     }
     bool changed = false;
     for (size_t i = 1; i < layouts.size(); ++i)
@@ -160,7 +158,7 @@ TEST(PaperHeadlines, ZeroMovementBenchmarksBeatMovementOnes)
     // Sec. 7: benchmarks mappable without SWAPs (BV, HS, QFT, Adder)
     // succeed more often than the triangle kernels under the same
     // compiler.
-    Machine m = day0();
+    auto m = day0Snapshot();
     CompilerOptions opts;
     opts.mapper = MapperKind::RSmtStar;
     opts.smtTimeoutMs = 30'000;

@@ -19,7 +19,9 @@
 namespace qc {
 namespace {
 
+using test::compileWith;
 using test::day0;
+using test::day0Snapshot;
 using test::expectScheduleWellFormed;
 
 class GreedyAllBenchmarks : public ::testing::TestWithParam<std::string>
@@ -28,16 +30,13 @@ class GreedyAllBenchmarks : public ::testing::TestWithParam<std::string>
 
 TEST_P(GreedyAllBenchmarks, BothHeuristicsProduceValidSchedules)
 {
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName(GetParam());
 
-    GreedyVMapper gv(m);
-    GreedyEMapper ge(m);
-    for (Mapper *mapper : {static_cast<Mapper *>(&gv),
-                           static_cast<Mapper *>(&ge)}) {
-        CompiledProgram cp = mapper->compile(b.circuit);
-        validateLayout(cp.layout, b.circuit.numQubits(), m.numQubits());
-        expectScheduleWellFormed(m, cp.schedule);
+    for (MapperKind kind : {MapperKind::GreedyV, MapperKind::GreedyE}) {
+        CompiledProgram cp = compileWith(m, kind, b.circuit);
+        validateLayout(cp.layout, b.circuit.numQubits(), m->numQubits());
+        expectScheduleWellFormed(*m, cp.schedule);
         EXPECT_GT(cp.predictedSuccess, 0.0);
         EXPECT_LE(cp.predictedSuccess, 1.0);
         EXPECT_EQ(cp.duration, cp.schedule.makespan);
@@ -46,11 +45,12 @@ TEST_P(GreedyAllBenchmarks, BothHeuristicsProduceValidSchedules)
 
 TEST_P(GreedyAllBenchmarks, Deterministic)
 {
-    Machine m = day0();
     Benchmark b = benchmarkByName(GetParam());
-    GreedyEMapper mapper(m);
-    CompiledProgram a = mapper.compile(b.circuit);
-    CompiledProgram c = mapper.compile(b.circuit);
+    CompilerOptions opts;
+    opts.mapper = MapperKind::GreedyE;
+    Pipeline pipe = standardPipeline(day0Snapshot(), opts);
+    CompiledProgram a = pipe.compile(b.circuit);
+    CompiledProgram c = pipe.compile(b.circuit);
     EXPECT_EQ(a.layout, c.layout);
     EXPECT_EQ(a.duration, c.duration);
 }
@@ -62,11 +62,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(GreedyE, HeaviestEdgeLandsOnAdjacentPair)
 {
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName("HS2"); // single weight-2 edge
-    GreedyEMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
-    EXPECT_TRUE(m.topo().adjacent(cp.layout[0], cp.layout[1]));
+    CompiledProgram cp = compileWith(m, MapperKind::GreedyE, b.circuit);
+    EXPECT_TRUE(m->topo().adjacent(cp.layout[0], cp.layout[1]));
     EXPECT_EQ(cp.swapCount, 0);
 }
 
@@ -76,15 +75,14 @@ TEST(GreedyE, PicksAReliableEdgeForTheSeed)
     // hardware edges; it must beat the machine-wide median edge.
     Machine m = day0();
     Benchmark b = benchmarkByName("HS2");
-    GreedyEMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
-    EdgeId chosen = m.topo().edgeBetween(cp.layout[0], cp.layout[1]);
+    std::vector<HwQubit> layout = greedyEdgePlacement(m, b.circuit);
+    EdgeId chosen = m.topo().edgeBetween(layout[0], layout[1]);
     ASSERT_NE(chosen, kInvalidEdge);
 
     double chosen_score =
         std::log(m.cal().cnotReliability(chosen)) +
-        std::log(m.cal().readoutReliability(cp.layout[0])) +
-        std::log(m.cal().readoutReliability(cp.layout[1]));
+        std::log(m.cal().readoutReliability(layout[0])) +
+        std::log(m.cal().readoutReliability(layout[1]));
     for (const auto &e : m.topo().edges()) {
         EdgeId id = m.topo().edgeBetween(e.a, e.b);
         double score = std::log(m.cal().cnotReliability(id)) +
@@ -98,31 +96,29 @@ TEST(GreedyV, SeedsOnMaxDegreeLocation)
 {
     Machine m = day0();
     Benchmark b = benchmarkByName("BV4");
-    GreedyVMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    std::vector<HwQubit> layout = greedyVertexPlacement(m, b.circuit);
     // The heaviest program qubit is the ancilla (qubit 3); it must sit
     // on an interior (degree-3) hardware qubit.
-    EXPECT_EQ(m.topo().neighbors(cp.layout[3]).size(), 3u);
+    EXPECT_EQ(m.topo().neighbors(layout[3]).size(), 3u);
 }
 
 TEST(GreedyMappers, HandleIsolatedQubits)
 {
-    Machine m = day0();
+    auto m = day0Snapshot();
     Circuit c("iso", 4);
     c.cnot(0, 1);
     c.h(2);
     c.h(3);
     for (int q = 0; q < 4; ++q)
         c.measure(q, q);
-    GreedyVMapper gv(m);
-    GreedyEMapper ge(m);
-    validateLayout(gv.compile(c).layout, 4, m.numQubits());
-    validateLayout(ge.compile(c).layout, 4, m.numQubits());
+    for (MapperKind kind : {MapperKind::GreedyV, MapperKind::GreedyE})
+        validateLayout(compileWith(m, kind, c).layout, 4,
+                       m->numQubits());
 }
 
 TEST(GreedyMappers, HandleDisconnectedComponents)
 {
-    Machine m = day0();
+    auto m = day0Snapshot();
     Circuit c("two-comp", 6);
     c.cnot(0, 1);
     c.cnot(0, 1);
@@ -130,10 +126,9 @@ TEST(GreedyMappers, HandleDisconnectedComponents)
     c.cnot(4, 5);
     for (int q = 0; q < 6; ++q)
         c.measure(q, q);
-    GreedyEMapper ge(m);
-    CompiledProgram cp = ge.compile(c);
-    validateLayout(cp.layout, 6, m.numQubits());
-    expectScheduleWellFormed(m, cp.schedule);
+    CompiledProgram cp = compileWith(m, MapperKind::GreedyE, c);
+    validateLayout(cp.layout, 6, m->numQubits());
+    expectScheduleWellFormed(*m, cp.schedule);
 }
 
 TEST(GreedyE, NewComponentWithoutFreeEdgeIsRoutedNotFatal)
@@ -168,12 +163,12 @@ TEST(GreedyMappers, RejectOversizedPrograms)
 {
     GridTopology topo(2, 2);
     CalibrationModel model(topo, 5);
-    Machine m(topo, model.forDay(0));
+    auto m = std::make_shared<const Machine>(topo, model.forDay(0));
     Benchmark b = benchmarkByName("BV6");
-    GreedyVMapper gv(m);
-    GreedyEMapper ge(m);
-    EXPECT_THROW(gv.compile(b.circuit), FatalError);
-    EXPECT_THROW(ge.compile(b.circuit), FatalError);
+    EXPECT_THROW(compileWith(m, MapperKind::GreedyV, b.circuit),
+                 FatalError);
+    EXPECT_THROW(compileWith(m, MapperKind::GreedyE, b.circuit),
+                 FatalError);
 }
 
 TEST(BestAttachedLocation, MinimizesWeightedPathCost)

@@ -9,7 +9,6 @@
 
 #include <cmath>
 
-#include "mappers/greedy_mapper.hpp"
 #include "test_util.hpp"
 
 namespace qc {
@@ -74,8 +73,8 @@ MeasuredRunHelper
 compileForTest(const Machine &m, const std::string &name)
 {
     Benchmark b = benchmarkByName(name);
-    GreedyEMapper mapper(m);
-    return {b, mapper.compile(b.circuit)};
+    return {b, test::compileWith(std::make_shared<const Machine>(m),
+                                 MapperKind::GreedyE, b.circuit)};
 }
 
 TEST(NoisyExecutor, NoiselessRunsAlwaysSucceed)

@@ -6,13 +6,13 @@
 
 #include <gtest/gtest.h>
 
-#include "mappers/qiskit_baseline.hpp"
 #include "test_util.hpp"
 
 namespace qc {
 namespace {
 
-using test::day0;
+using test::compileWith;
+using test::day0Snapshot;
 using test::expectScheduleWellFormed;
 
 class QiskitAllBenchmarks : public ::testing::TestWithParam<std::string>
@@ -21,16 +21,15 @@ class QiskitAllBenchmarks : public ::testing::TestWithParam<std::string>
 
 TEST_P(QiskitAllBenchmarks, IdentityLayoutAndValidSchedule)
 {
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName(GetParam());
-    QiskitBaselineMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = compileWith(m, MapperKind::Qiskit, b.circuit);
     EXPECT_EQ(cp.mapperName, "Qiskit");
     ASSERT_EQ(static_cast<int>(cp.layout.size()),
               b.circuit.numQubits());
     for (int q = 0; q < b.circuit.numQubits(); ++q)
         EXPECT_EQ(cp.layout[q], q) << "lexicographic placement";
-    expectScheduleWellFormed(m, cp.schedule);
+    expectScheduleWellFormed(*m, cp.schedule);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -44,21 +43,21 @@ TEST(QiskitBaseline, Bv8PaysHeavySwapCost)
     // movement while R-SMT* needed none. Our baseline reproduces the
     // movement (distances 3+2+1 from the identity placement, moved
     // there and back).
-    Machine m = day0();
     Benchmark b = benchmarkByName("BV8");
-    QiskitBaselineMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp =
+        compileWith(day0Snapshot(), MapperKind::Qiskit, b.circuit);
     EXPECT_EQ(cp.swapCount, 2 * ((3 - 1) + (2 - 1) + (1 - 1)));
     EXPECT_EQ(cp.schedule.hwCnotCount(), 3 + 3 * cp.swapCount);
 }
 
 TEST(QiskitBaseline, DeterministicRoutes)
 {
-    Machine m = day0();
     Benchmark b = benchmarkByName("Toffoli");
-    QiskitBaselineMapper mapper(m);
-    CompiledProgram a = mapper.compile(b.circuit);
-    CompiledProgram c = mapper.compile(b.circuit);
+    CompilerOptions opts;
+    opts.mapper = MapperKind::Qiskit;
+    Pipeline pipe = standardPipeline(day0Snapshot(), opts);
+    CompiledProgram a = pipe.compile(b.circuit);
+    CompiledProgram c = pipe.compile(b.circuit);
     EXPECT_EQ(a.duration, c.duration);
     EXPECT_EQ(a.swapCount, c.swapCount);
     ASSERT_EQ(a.junctions.size(), c.junctions.size());
@@ -70,11 +69,11 @@ TEST(QiskitBaseline, IgnoresCalibration)
 {
     // Same layout on two very different calibration days.
     auto &env = test::env();
-    Machine m0 = env.machineForDay(0);
-    Machine m5 = env.machineForDay(5);
+    auto m0 = std::make_shared<const Machine>(env.machineForDay(0));
+    auto m5 = std::make_shared<const Machine>(env.machineForDay(5));
     Benchmark b = benchmarkByName("BV4");
-    CompiledProgram a = QiskitBaselineMapper(m0).compile(b.circuit);
-    CompiledProgram c = QiskitBaselineMapper(m5).compile(b.circuit);
+    CompiledProgram a = compileWith(m0, MapperKind::Qiskit, b.circuit);
+    CompiledProgram c = compileWith(m5, MapperKind::Qiskit, b.circuit);
     EXPECT_EQ(a.layout, c.layout);
 }
 

@@ -18,7 +18,7 @@
 namespace qc {
 namespace {
 
-using test::day0;
+using test::day0Snapshot;
 
 /** Total variation distance between two outcome distributions. */
 double
@@ -59,7 +59,6 @@ class RandomSemantics : public ::testing::TestWithParam<RandomCase>
 TEST_P(RandomSemantics, CompiledDistributionMatchesSource)
 {
     const auto &p = GetParam();
-    Machine m = day0();
 
     RandomCircuitSpec spec;
     spec.numQubits = p.qubits;
@@ -70,8 +69,8 @@ TEST_P(RandomSemantics, CompiledDistributionMatchesSource)
     CompilerOptions opts;
     opts.mapper = p.mapper;
     opts.smtTimeoutMs = 20'000;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(prog);
+    CompiledProgram cp =
+        standardPipeline(day0Snapshot(), opts).compile(prog);
 
     auto source = idealDistribution(prog);
     auto compiled =

@@ -13,7 +13,8 @@
 namespace qc {
 namespace {
 
-using test::day0;
+using test::compileWith;
+using test::day0Snapshot;
 using test::expectScheduleWellFormed;
 using test::noiselessOptions;
 
@@ -103,16 +104,13 @@ TEST_P(RippleAdderRouting, FourBitAdderCompilesCorrectlyOnIbmq16)
 {
     // 13 qubits, ~150 gates, 72 CNOTs: a machine-filling routing
     // stress test far beyond the paper benchmarks.
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark bench = makeRippleCarryAdder(4, 11, 6);
 
-    CompilerOptions opts;
-    opts.mapper = GetParam();
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(bench.circuit);
-    expectScheduleWellFormed(m, cp.schedule);
+    CompiledProgram cp = compileWith(m, GetParam(), bench.circuit);
+    expectScheduleWellFormed(*m, cp.schedule);
 
-    auto ideal = runNoisy(m, cp.schedule, bench.circuit.numClbits(),
+    auto ideal = runNoisy(*m, cp.schedule, bench.circuit.numClbits(),
                           bench.expected, noiselessOptions());
     EXPECT_DOUBLE_EQ(ideal.successRate, 1.0)
         << "4-bit adder mis-compiled by " << cp.mapperName;
@@ -133,18 +131,16 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(RippleAdder, FiveBitAdderFillsIbmq16)
 {
     // 16 qubits on a 16-qubit machine: placement is a full
-    // permutation, exercising the mappers' boundary case.
-    Machine m = day0();
+    // permutation, exercising the bundles' boundary case.
+    auto m = day0Snapshot();
     Benchmark bench = makeRippleCarryAdder(5, 21, 10);
     ASSERT_EQ(bench.circuit.numQubits(), 16);
 
-    CompilerOptions opts;
-    opts.mapper = MapperKind::GreedyE;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(bench.circuit);
+    CompiledProgram cp =
+        compileWith(m, MapperKind::GreedyE, bench.circuit);
     validateLayout(cp.layout, 16, 16);
 
-    auto ideal = runNoisy(m, cp.schedule, bench.circuit.numClbits(),
+    auto ideal = runNoisy(*m, cp.schedule, bench.circuit.numClbits(),
                           bench.expected, noiselessOptions());
     EXPECT_DOUBLE_EQ(ideal.successRate, 1.0);
 }
@@ -157,13 +153,11 @@ TEST(RippleAdder, SixBitAdderOnLargerMachine)
     // Monte-Carlo trials would be wasteful at this size).
     GridTopology topo(4, 5);
     CalibrationModel model(topo, test::kSeed);
-    Machine m(topo, model.forDay(0));
+    auto m = std::make_shared<const Machine>(topo, model.forDay(0));
     Benchmark bench = makeRippleCarryAdder(6, 52, 23);
 
-    CompilerOptions opts;
-    opts.mapper = MapperKind::GreedyE;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    CompiledProgram cp = mapper->compile(bench.circuit);
+    CompiledProgram cp =
+        compileWith(m, MapperKind::GreedyE, bench.circuit);
 
     EXPECT_EQ(idealOutcome(cp.hwCircuit(bench.circuit.numClbits())),
               bench.expected);

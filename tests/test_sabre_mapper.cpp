@@ -4,8 +4,8 @@
  * 8-thread service batches), the improve-or-tie guarantee against the
  * GreedyE*+track seed on the Table 2 set, output goldens on
  * heuristic_stream-shaped programs, non-grid smoke (heavy-hex, ring,
- * edge-list), composition with the standard list-scheduling passes,
- * and pipeline-vs-legacy equivalence.
+ * edge-list), and composition with the standard list-scheduling
+ * passes.
  *
  * The refinement keeps the best layout by tracking-router predicted
  * success and the seed layout is itself a candidate, so Sabre can
@@ -312,28 +312,6 @@ TEST(SabrePlacement, KnobsChangeTheFingerprintedConfiguration)
     b_opts.sabreLookahead = 5;
     EXPECT_NE(service::fingerprintOptions(a),
               service::fingerprintOptions(b_opts));
-}
-
-TEST(SabrePlacement, LegacyMapperMatchesPipelineBundle)
-{
-    // The monolithic SabreMapper is the pre-pipeline reference, like
-    // every other kind (test_pipeline covers the whole Table 2 set;
-    // this is the direct spot-check).
-    auto machine =
-        std::make_shared<const Machine>(env().machineForDay(0));
-    Benchmark b = benchmarkByName("Fredkin");
-    CompiledProgram legacy =
-        NoiseAdaptiveCompiler::makeMapper(*machine, sabreOptions())
-            ->compile(b.circuit);
-    PipelineResult piped =
-        standardPipeline(machine, sabreOptions()).run(b.circuit);
-    ASSERT_TRUE(piped.ok());
-    EXPECT_EQ(legacy.mapperName, piped.program.mapperName);
-    EXPECT_EQ(legacy.layout, piped.program.layout);
-    EXPECT_EQ(legacy.predictedSuccess,
-              piped.program.predictedSuccess);
-    EXPECT_TRUE(
-        legacy.schedule.identicalTo(piped.program.schedule));
 }
 
 } // namespace

@@ -1,6 +1,6 @@
 /**
  * @file
- * SMT mapper tests: the Z3 optimum must agree with the independent
+ * SMT bundle tests: the Z3 optimum must agree with the independent
  * branch-and-bound optimum on the reliability objective, duration
  * variants must prove optimality, and solutions must be valid.
  */
@@ -17,8 +17,27 @@
 namespace qc {
 namespace {
 
-using test::day0;
+using test::day0Snapshot;
 using test::expectScheduleWellFormed;
+
+/** The standard `kind` bundle with a test-sized solver budget. */
+CompilerOptions
+smtOptions(MapperKind kind)
+{
+    CompilerOptions opts;
+    opts.mapper = kind;
+    opts.smtTimeoutMs = 30'000;
+    return opts;
+}
+
+/** IBMQ16 with every edge and qubit identical. */
+std::shared_ptr<const Machine>
+uniformMachine()
+{
+    GridTopology topo = GridTopology::ibmq16();
+    return std::make_shared<const Machine>(
+        topo, test::uniformCalibration(topo));
+}
 
 class RsmtVsBnb : public ::testing::TestWithParam<std::string>
 {
@@ -29,26 +48,23 @@ TEST_P(RsmtVsBnb, PlacementObjectivesAgree)
     // Like-for-like cross-validation: Z3 in placement-only mode
     // solves exactly the branch-and-bound problem, so the optima
     // must coincide.
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName(GetParam());
 
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
+    CompilerOptions opts = smtOptions(MapperKind::RSmtStar);
     opts.readoutWeight = 0.5;
-    opts.timeoutMs = 30'000;
     opts.jointScheduling = false;
-    SmtMapper mapper(m, opts);
-    CompiledProgram smt = mapper.compile(b.circuit);
+    CompiledProgram smt = standardPipeline(m, opts).compile(b.circuit);
     ASSERT_TRUE(smt.solverOptimal) << smt.solverStatus;
 
     BnbOptions bnb_opts;
     bnb_opts.readoutWeight = 0.5;
-    BnbPlacer bnb(m, b.circuit, bnb_opts);
+    BnbPlacer bnb(*m, b.circuit, bnb_opts);
     BnbResult br = bnb.solve();
     ASSERT_TRUE(br.optimal);
 
     double smt_obj =
-        evaluateReliability(b.circuit, smt.layout, m).weighted(0.5);
+        evaluateReliability(b.circuit, smt.layout, *m).weighted(0.5);
     EXPECT_NEAR(smt_obj, br.objective, 1e-6)
         << "Z3 and branch-and-bound disagree on " << b.name;
 }
@@ -58,25 +74,22 @@ TEST_P(RsmtVsBnb, JointObjectiveNeverBeatsPlacementRelaxation)
     // The joint formulation adds constraints (coherence, routing
     // overlap), so its optimum can only be as good as or worse than
     // the placement-only relaxation the branch-and-bound solves.
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName(GetParam());
 
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
+    CompilerOptions opts = smtOptions(MapperKind::RSmtStar);
     opts.readoutWeight = 0.5;
-    opts.timeoutMs = 30'000;
-    SmtMapper mapper(m, opts);
-    CompiledProgram smt = mapper.compile(b.circuit);
+    CompiledProgram smt = standardPipeline(m, opts).compile(b.circuit);
     ASSERT_TRUE(smt.solverOptimal) << smt.solverStatus;
 
     BnbOptions bnb_opts;
     bnb_opts.readoutWeight = 0.5;
-    BnbPlacer bnb(m, b.circuit, bnb_opts);
+    BnbPlacer bnb(*m, b.circuit, bnb_opts);
     BnbResult br = bnb.solve();
     ASSERT_TRUE(br.optimal);
 
     double smt_obj =
-        evaluateReliability(b.circuit, smt.layout, m).weighted(0.5);
+        evaluateReliability(b.circuit, smt.layout, *m).weighted(0.5);
     EXPECT_LE(smt_obj, br.objective + 1e-6) << b.name;
 }
 
@@ -84,93 +97,93 @@ INSTANTIATE_TEST_SUITE_P(Paper, RsmtVsBnb,
                          ::testing::Values("BV4", "BV6", "HS2", "HS4",
                                            "QFT", "Peres", "Toffoli"));
 
-TEST(SmtMapper, Names)
+TEST(SmtBundle, Names)
 {
-    Machine m = day0();
     SmtMapperOptions opts;
     opts.variant = SmtVariant::TSmt;
     opts.policy = RoutingPolicy::RectangleReservation;
-    EXPECT_EQ(SmtMapper(m, opts).name(), "T-SMT RR");
+    EXPECT_EQ(smtMapperDisplayName(opts), "T-SMT RR");
     opts.variant = SmtVariant::TSmtStar;
     opts.policy = RoutingPolicy::OneBendPath;
-    EXPECT_EQ(SmtMapper(m, opts).name(), "T-SMT* 1BP");
+    EXPECT_EQ(smtMapperDisplayName(opts), "T-SMT* 1BP");
     opts.variant = SmtVariant::RSmtStar;
     opts.readoutWeight = 0.5;
-    EXPECT_EQ(SmtMapper(m, opts).name(), "R-SMT* w=0.5");
+    EXPECT_EQ(smtMapperDisplayName(opts), "R-SMT* w=0.5");
+
+    // The standard bundles report the same names.
+    auto m = day0Snapshot();
+    CompilerOptions copts = smtOptions(MapperKind::TSmt);
+    copts.policy = RoutingPolicy::RectangleReservation;
+    EXPECT_EQ(standardPipeline(m, copts).name(), "T-SMT RR");
+    EXPECT_EQ(standardPipeline(m, smtOptions(MapperKind::TSmtStar)).name(),
+              "T-SMT* 1BP");
+    EXPECT_EQ(standardPipeline(m, smtOptions(MapperKind::RSmtStar)).name(),
+              "R-SMT* w=0.5");
 }
 
-TEST(SmtMapper, RSmtStarForcesOneBendPaths)
+TEST(SmtBundle, RSmtStarForcesOneBendPaths)
 {
-    Machine m = day0();
     SmtMapperOptions opts;
     opts.variant = SmtVariant::RSmtStar;
     opts.policy = RoutingPolicy::RectangleReservation;
-    SmtMapper mapper(m, opts);
-    EXPECT_EQ(mapper.options().policy, RoutingPolicy::OneBendPath);
+    EXPECT_EQ(effectiveSmtOptions(opts).policy,
+              RoutingPolicy::OneBendPath);
+
+    // The bundle's routing stage follows the normalized policy.
+    CompilerOptions copts = smtOptions(MapperKind::RSmtStar);
+    copts.policy = RoutingPolicy::RectangleReservation;
+    Pipeline pipe = standardPipeline(day0Snapshot(), copts);
+    ASSERT_GE(pipe.stages().size(), 2u);
+    EXPECT_EQ(pipe.stages()[1]->name(), "1BP");
 }
 
-TEST(SmtMapper, DurationVariantsProveOptimality)
+TEST(SmtBundle, DurationVariantsProveOptimality)
 {
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName("BV4");
-    for (SmtVariant v : {SmtVariant::TSmt, SmtVariant::TSmtStar}) {
-        SmtMapperOptions opts;
-        opts.variant = v;
-        opts.timeoutMs = 30'000;
-        SmtMapper mapper(m, opts);
-        CompiledProgram cp = mapper.compile(b.circuit);
+    for (MapperKind kind : {MapperKind::TSmt, MapperKind::TSmtStar}) {
+        CompiledProgram cp =
+            standardPipeline(m, smtOptions(kind)).compile(b.circuit);
         EXPECT_TRUE(cp.solverOptimal) << cp.solverStatus;
-        expectScheduleWellFormed(m, cp.schedule);
-        validateLayout(cp.layout, b.circuit.numQubits(), m.numQubits());
+        expectScheduleWellFormed(*m, cp.schedule);
+        validateLayout(cp.layout, b.circuit.numQubits(),
+                       m->numQubits());
     }
 }
 
-TEST(SmtMapper, ZeroSwapBenchmarksGetZeroSwapsOnUniformMachine)
+TEST(SmtBundle, ZeroSwapBenchmarksGetZeroSwapsOnUniformMachine)
 {
     // Star/pair interaction graphs embed in the grid: with uniform
     // error rates the optimal reliability mapping strictly prefers
     // adjacency, so it uses no qubit movement (paper Sec. 7). (On a
     // real calibration day, movement can legitimately win if it buys
     // much better readout qubits.)
-    GridTopology topo = GridTopology::ibmq16();
-    Machine m(topo, test::uniformCalibration(topo));
+    Pipeline pipe =
+        standardPipeline(uniformMachine(), smtOptions(MapperKind::RSmtStar));
     for (const char *name : {"BV4", "BV8", "HS6", "QFT", "Adder"}) {
-        Benchmark b = benchmarkByName(name);
-        SmtMapperOptions opts;
-        opts.variant = SmtVariant::RSmtStar;
-        opts.timeoutMs = 30'000;
-        SmtMapper mapper(m, opts);
-        CompiledProgram cp = mapper.compile(b.circuit);
+        CompiledProgram cp = pipe.compile(benchmarkByName(name).circuit);
         EXPECT_EQ(cp.swapCount, 0) << name;
     }
 }
 
-TEST(SmtMapper, TriangleBenchmarksNeedSwaps)
+TEST(SmtBundle, TriangleBenchmarksNeedSwaps)
 {
     // Triangles cannot embed in a bipartite grid: at least one routed
     // CNOT (there-and-back SWAP pair) is unavoidable.
-    GridTopology topo = GridTopology::ibmq16();
-    Machine m(topo, test::uniformCalibration(topo));
+    Pipeline pipe =
+        standardPipeline(uniformMachine(), smtOptions(MapperKind::RSmtStar));
     for (const char *name : {"Toffoli", "Peres"}) {
-        Benchmark b = benchmarkByName(name);
-        SmtMapperOptions opts;
-        opts.variant = SmtVariant::RSmtStar;
-        opts.timeoutMs = 30'000;
-        SmtMapper mapper(m, opts);
-        CompiledProgram cp = mapper.compile(b.circuit);
+        CompiledProgram cp = pipe.compile(benchmarkByName(name).circuit);
         EXPECT_GE(cp.swapCount, 2) << name;
     }
 }
 
-TEST(SmtMapper, JunctionsRecordedForCnots)
+TEST(SmtBundle, JunctionsRecordedForCnots)
 {
-    Machine m = day0();
     Benchmark b = benchmarkByName("Toffoli");
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
-    opts.timeoutMs = 30'000;
-    SmtMapper mapper(m, opts);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp =
+        standardPipeline(day0Snapshot(), smtOptions(MapperKind::RSmtStar))
+            .compile(b.circuit);
     ASSERT_EQ(cp.junctions.size(), b.circuit.size());
     for (size_t i = 0; i < b.circuit.size(); ++i) {
         if (b.circuit.gate(i).op == Op::CNOT)
@@ -180,74 +193,66 @@ TEST(SmtMapper, JunctionsRecordedForCnots)
     }
 }
 
-TEST(SmtMapper, OmegaOnePlacesMeasuredQubitsOnBestReadouts)
+TEST(SmtBundle, OmegaOnePlacesMeasuredQubitsOnBestReadouts)
 {
     // With w = 1 only readout terms score. Placement-only mode is
     // used because the joint formulation's coherence constraint can
     // legitimately veto far-apart readout-optimal placements (their
     // routed CNOTs run long) — exactly the Fig. 8c pathology.
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName("HS2");
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
+    CompilerOptions opts = smtOptions(MapperKind::RSmtStar);
     opts.readoutWeight = 1.0;
-    opts.timeoutMs = 30'000;
     opts.jointScheduling = false;
-    SmtMapper mapper(m, opts);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp = standardPipeline(m, opts).compile(b.circuit);
     ASSERT_TRUE(cp.solverOptimal);
-    auto order = m.qubitsByReadoutReliability();
-    double best = std::log(m.cal().readoutReliability(order[0])) +
-                  std::log(m.cal().readoutReliability(order[1]));
-    double got = std::log(m.cal().readoutReliability(cp.layout[0])) +
-                 std::log(m.cal().readoutReliability(cp.layout[1]));
+    auto order = m->qubitsByReadoutReliability();
+    double best = std::log(m->cal().readoutReliability(order[0])) +
+                  std::log(m->cal().readoutReliability(order[1]));
+    double got = std::log(m->cal().readoutReliability(cp.layout[0])) +
+                 std::log(m->cal().readoutReliability(cp.layout[1]));
     EXPECT_NEAR(got, best, 1e-9);
 }
 
-TEST(SmtMapper, TinyTimeoutStillProducesRunnableCode)
+TEST(SmtBundle, TinyTimeoutStillProducesRunnableCode)
 {
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName("Fredkin");
-    SmtMapperOptions opts;
-    opts.variant = SmtVariant::RSmtStar;
-    opts.timeoutMs = 1; // effectively no solver time
-    SmtMapper mapper(m, opts);
-    CompiledProgram cp = mapper.compile(b.circuit);
-    validateLayout(cp.layout, b.circuit.numQubits(), m.numQubits());
-    expectScheduleWellFormed(m, cp.schedule);
+    CompilerOptions opts = smtOptions(MapperKind::RSmtStar);
+    opts.smtTimeoutMs = 1; // effectively no solver time
+    CompiledProgram cp = standardPipeline(m, opts).compile(b.circuit);
+    validateLayout(cp.layout, b.circuit.numQubits(), m->numQubits());
+    expectScheduleWellFormed(*m, cp.schedule);
 }
 
-TEST(SmtMapper, RejectsOversizedProgram)
+TEST(SmtBundle, RejectsOversizedProgram)
 {
     GridTopology topo(2, 2);
     CalibrationModel model(topo, 3);
-    Machine m(topo, model.forDay(0));
+    auto m = std::make_shared<const Machine>(topo, model.forDay(0));
     Benchmark b = benchmarkByName("BV6");
-    SmtMapperOptions opts;
-    SmtMapper mapper(m, opts);
-    EXPECT_THROW(mapper.compile(b.circuit), FatalError);
+    EXPECT_THROW(standardPipeline(m, CompilerOptions{}).compile(b.circuit),
+                 FatalError);
 }
 
-TEST(SmtMapper, NonJointSchedulingMatchesJointObjective)
+TEST(SmtBundle, NonJointSchedulingMatchesJointObjective)
 {
     // Placement-only mode must reach the same Eq. 12 optimum; only
     // start times are realized differently.
-    Machine m = day0();
+    auto m = day0Snapshot();
     Benchmark b = benchmarkByName("HS4");
 
-    SmtMapperOptions joint;
-    joint.variant = SmtVariant::RSmtStar;
-    joint.timeoutMs = 30'000;
-    CompiledProgram a = SmtMapper(m, joint).compile(b.circuit);
+    CompilerOptions joint = smtOptions(MapperKind::RSmtStar);
+    CompiledProgram a = standardPipeline(m, joint).compile(b.circuit);
 
-    SmtMapperOptions flat = joint;
+    CompilerOptions flat = joint;
     flat.jointScheduling = false;
-    CompiledProgram c = SmtMapper(m, flat).compile(b.circuit);
+    CompiledProgram c = standardPipeline(m, flat).compile(b.circuit);
 
     double obj_a =
-        evaluateReliability(b.circuit, a.layout, m).weighted(0.5);
+        evaluateReliability(b.circuit, a.layout, *m).weighted(0.5);
     double obj_c =
-        evaluateReliability(b.circuit, c.layout, m).weighted(0.5);
+        evaluateReliability(b.circuit, c.layout, *m).weighted(0.5);
     EXPECT_NEAR(obj_a, obj_c, 1e-6);
 }
 

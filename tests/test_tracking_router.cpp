@@ -2,7 +2,7 @@
  * @file
  * Live-tracking router tests: semantic preservation without restore
  * SWAPs, layout evolution, SWAP savings vs the restore scheme, and
- * the GreedyE*+track mapper.
+ * the GreedyE*+track bundle.
  */
 
 #include <gtest/gtest.h>
@@ -148,31 +148,30 @@ TEST(TrackingRouter, RejectsProgramSwapAndBadLayout)
     EXPECT_THROW(router.run(ok, {0, 0}), FatalError);
 }
 
-TEST(GreedyETrackMapper, CompilesAndPredicts)
+TEST(GreedyETrackBundle, CompilesAndPredicts)
 {
-    Machine m = day0();
+    auto m = test::day0Snapshot();
     Benchmark b = benchmarkByName("Fredkin");
-    GreedyETrackMapper mapper(m);
-    CompiledProgram cp = mapper.compile(b.circuit);
+    CompiledProgram cp =
+        test::compileWith(m, MapperKind::GreedyETrack, b.circuit);
     EXPECT_EQ(cp.mapperName, "GreedyE*+track");
     EXPECT_GT(cp.predictedSuccess, 0.0);
     EXPECT_LE(cp.predictedSuccess, 1.0);
-    expectScheduleWellFormed(m, cp.schedule);
+    expectScheduleWellFormed(*m, cp.schedule);
 
-    auto ideal = runNoisy(m, cp.schedule, b.circuit.numClbits(),
+    auto ideal = runNoisy(*m, cp.schedule, b.circuit.numClbits(),
                           b.expected, noiselessOptions());
     EXPECT_DOUBLE_EQ(ideal.successRate, 1.0);
 }
 
-TEST(GreedyETrackMapper, AvailableThroughTheFacade)
+TEST(GreedyETrackBundle, AvailableThroughTheFacade)
 {
     EXPECT_EQ(mapperKindFromName("GreedyE*+track"),
               MapperKind::GreedyETrack);
-    Machine m = day0();
     CompilerOptions opts;
     opts.mapper = MapperKind::GreedyETrack;
-    auto mapper = NoiseAdaptiveCompiler::makeMapper(m, opts);
-    EXPECT_EQ(mapper->name(), "GreedyE*+track");
+    EXPECT_EQ(standardPipeline(test::day0Snapshot(), opts).name(),
+              "GreedyE*+track");
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/experiment.hpp"
 #include "route/routing.hpp"
 #include "sched/schedule.hpp"
@@ -28,11 +30,31 @@ env()
     return e;
 }
 
-/** Day-0 machine (fresh instance per call; references env().topo()). */
+/** Day-0 machine (fresh instance per call). */
 inline Machine
 day0()
 {
     return env().machineForDay(0);
+}
+
+/** Day-0 machine as the shared snapshot pipelines compile against. */
+inline std::shared_ptr<const Machine>
+day0Snapshot()
+{
+    return std::make_shared<const Machine>(day0());
+}
+
+/**
+ * `prog` compiled by the standard `kind` bundle on `machine`; throws
+ * FatalError when the bundle produces no program.
+ */
+inline CompiledProgram
+compileWith(const std::shared_ptr<const Machine> &machine,
+            MapperKind kind, const Circuit &prog)
+{
+    CompilerOptions opts;
+    opts.mapper = kind;
+    return standardPipeline(machine, opts).compile(prog);
 }
 
 /**
