@@ -5,9 +5,7 @@
 #include <cstdio>
 #include <thread>
 
-#include "core/portfolio.hpp"
 #include "service/fingerprints.hpp"
-#include "service/portfolio_executor.hpp"
 #include "support/fingerprint.hpp"
 #include "support/logging.hpp"
 #include "verify/verifier.hpp"
@@ -215,10 +213,6 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
         record->epochId = epoch->id;
     }
 
-    service::CompileResult result;
-    result.tag = record->tag;
-    result.day = epoch->day;
-
     service::CacheKey key;
     key.circuit = record->circuitFp;
     key.calibration = epoch->machineFp;
@@ -231,84 +225,34 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
     CacheSource source = CacheSource::None;
     bool verifiedOnLoad = false;
     bool healedEntry = false;
-    try {
-        std::shared_ptr<const CompiledProgram> fromDisk;
+    service::JobHooks hooks;
+    hooks.lookup = [&](service::CompileResult &hit) {
         if (auto cached = memCache_.lookup(key)) {
-            result.ok = true;
-            result.cacheHit = true;
-            result.program = std::move(cached);
-            result.machine = epoch->machine;
+            hit.program = std::move(cached);
             source = CacheSource::Memory;
-        } else if ((fromDisk = loadVerified(key, record->circuit,
-                                            *epoch->machine,
-                                            verifiedOnLoad,
-                                            healedEntry))) {
-            memCache_.insert(key, fromDisk);
-            result.ok = true;
-            result.cacheHit = true;
-            result.program = std::move(fromDisk);
-            result.machine = epoch->machine;
+        } else if (auto loaded = loadVerified(key, record->circuit,
+                                              *epoch->machine,
+                                              verifiedOnLoad,
+                                              healedEntry)) {
+            memCache_.insert(key, loaded);
+            hit.program = std::move(loaded);
             source = CacheSource::Disk;
         } else {
-            PipelineResult compiled;
-            if (record->options.portfolio.enabled) {
-                // Race on this job's worker slot; candidates borrow
-                // only idle pool workers (help-while-wait), so raced
-                // submissions can't wedge or oversubscribe the pool.
-                PortfolioPass pass(epoch->machine, record->options);
-                service::PoolPortfolioExecutor exec(
-                    pool_, record->options.portfolio.maxWorkers);
-                PortfolioResult raced =
-                    pass.run(record->circuit, &exec);
-                if (raced.winnerIndex >= 0)
-                    result.winner =
-                        raced
-                            .candidates[static_cast<std::size_t>(
-                                raced.winnerIndex)]
-                            .name;
-                result.portfolio = std::move(raced.candidates);
-                compiled = std::move(raced.best);
-            } else {
-                Pipeline pipeline =
-                    standardPipeline(epoch->machine, record->options);
-                compiled = pipeline.run(record->circuit);
-            }
-            result.status = compiled.status;
-            result.failedStage = compiled.failedStage;
-            result.machine = epoch->machine;
-            if (compiled.hasProgram) {
-                result.stageTraces = compiled.program.stageTraces;
-                auto program =
-                    std::make_shared<const CompiledProgram>(
-                        std::move(compiled.program));
-                // Degraded fallbacks are usable but never cached
-                // (same policy as CompileService).
-                if (compiled.status.ok()) {
-                    memCache_.insert(key, program);
-                    disk_.store(key, *program);
-                }
-                result.program = std::move(program);
-                result.ok = true;
-            } else {
-                result.ok = false;
-                result.stageTraces =
-                    std::move(compiled.program.stageTraces);
-                result.program = nullptr;
-                result.machine = nullptr;
-            }
+            return false;
         }
-    } catch (const std::exception &e) {
-        result.ok = false;
-        result.status = CompileStatus::internalError(e.what());
-        result.program = nullptr;
-        result.machine = nullptr;
-    } catch (...) {
-        result.ok = false;
-        result.status = CompileStatus::internalError(
-            "unknown exception during compilation");
-        result.program = nullptr;
-        result.machine = nullptr;
-    }
+        hit.machine = epoch->machine;
+        return true;
+    };
+    hooks.machine = [&epoch] { return epoch->machine; };
+    hooks.store = [&](const std::shared_ptr<const CompiledProgram> &p) {
+        memCache_.insert(key, p);
+        disk_.store(key, *p);
+    };
+
+    service::CompileResult result = service::compileJob(
+        record->circuit, record->options, pool_, hooks);
+    result.tag = record->tag;
+    result.day = epoch->day;
     result.seconds = secondsSince(start);
 
     {

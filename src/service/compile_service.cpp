@@ -48,42 +48,33 @@ CompileService::submit(CompileRequest request)
 }
 
 CompileResult
-CompileService::runJob(const CompileRequest &request)
+compileJob(const Circuit &circuit, const CompilerOptions &options,
+           ThreadPool &pool, const JobHooks &hooks)
 {
-    const auto start = std::chrono::steady_clock::now();
     CompileResult result;
-    result.tag = request.tag;
-    result.day = request.day;
-
-    CacheKey key;
-    key.circuit = fingerprintCircuit(request.circuit);
-    key.calibration = machineKey(request.topo, request.cal);
-    key.options = fingerprintOptions(request.options);
-
+    auto fail = [&result](std::string message) {
+        result.ok = false;
+        result.status = CompileStatus::internalError(std::move(message));
+        result.program = nullptr;
+        result.machine = nullptr;
+    };
     try {
-        if (auto cached = cache_.lookup(key)) {
+        if (hooks.lookup(result)) {
             result.ok = true;
             result.cacheHit = true;
-            result.program = std::move(cached);
-            // Only attach a snapshot that's still pooled: a cache
-            // hit must never pay for a Machine rebuild.
-            result.machine =
-                machines_.tryAcquire(request.topo, request.cal);
-            result.seconds = secondsSince(start);
             return result;
         }
 
-        result.machine = machines_.acquire(request.topo, request.cal);
+        result.machine = hooks.machine();
         PipelineResult compiled;
-        if (request.options.portfolio.enabled) {
+        if (options.portfolio.enabled) {
             // Race the enabled bundles on this job's queue slot. The
             // pool executor borrows only idle workers (help-while-wait,
             // bounded by portfolio.maxWorkers), so a portfolio job can
             // never oversubscribe or wedge the pool.
-            PortfolioPass pass(result.machine, request.options);
-            PoolPortfolioExecutor exec(
-                pool_, request.options.portfolio.maxWorkers);
-            PortfolioResult raced = pass.run(request.circuit, &exec);
+            PortfolioPass pass(result.machine, options);
+            PoolPortfolioExecutor exec(pool, options.portfolio.maxWorkers);
+            PortfolioResult raced = pass.run(circuit, &exec);
             if (raced.winnerIndex >= 0)
                 result.winner = raced
                                     .candidates[static_cast<std::size_t>(
@@ -92,47 +83,68 @@ CompileService::runJob(const CompileRequest &request)
             result.portfolio = std::move(raced.candidates);
             compiled = std::move(raced.best);
         } else {
-            Pipeline pipeline =
-                standardPipeline(result.machine, request.options);
-            compiled = pipeline.run(request.circuit);
+            compiled = standardPipeline(result.machine, options).run(circuit);
         }
 
         result.status = compiled.status;
         result.failedStage = compiled.failedStage;
-        if (compiled.hasProgram) {
-            // The program keeps its own trace copy: it may outlive
-            // this result through the cache.
-            result.stageTraces = compiled.program.stageTraces;
-            auto program = std::make_shared<const CompiledProgram>(
-                std::move(compiled.program));
-            // Degraded solver fallbacks are usable but not worth
-            // pinning in the cache.
-            if (compiled.status.ok())
-                cache_.insert(key, program);
-            result.program = std::move(program);
-            result.ok = true;
-        } else {
-            result.ok = false;
-            result.stageTraces =
-                std::move(compiled.program.stageTraces);
-            result.program = nullptr;
+        if (!compiled.hasProgram) {
+            result.stageTraces = std::move(compiled.program.stageTraces);
             result.machine = nullptr;
+            return result;
         }
+        // The program keeps its own trace copy: it may outlive this
+        // result through the caller's cache.
+        result.stageTraces = compiled.program.stageTraces;
+        result.program = std::make_shared<const CompiledProgram>(
+            std::move(compiled.program));
+        result.ok = true;
+        // Degraded solver fallbacks are usable but not worth pinning
+        // in a cache.
+        if (result.status.ok())
+            hooks.store(result.program);
     } catch (const std::exception &e) {
-        // bad_alloc, queue shutdown, ... — a failing job must never
-        // poison the batch or escape the future contract. (Compile
-        // failures themselves already surface as status values.)
-        result.ok = false;
-        result.status = CompileStatus::internalError(e.what());
-        result.program = nullptr;
-        result.machine = nullptr;
+        // bad_alloc, queue shutdown, a snapshot that cannot be built,
+        // ... — a failing job must never poison the batch or escape
+        // the future contract. (Compile failures themselves already
+        // surface as status values.)
+        fail(e.what());
     } catch (...) {
-        result.ok = false;
-        result.status = CompileStatus::internalError(
-            "unknown exception during compilation");
-        result.program = nullptr;
-        result.machine = nullptr;
+        fail("unknown exception during compilation");
     }
+    return result;
+}
+
+CompileResult
+CompileService::runJob(const CompileRequest &request)
+{
+    const auto start = std::chrono::steady_clock::now();
+
+    CacheKey key;
+    key.circuit = fingerprintCircuit(request.circuit);
+    key.calibration = machineKey(request.topo, request.cal);
+    key.options = fingerprintOptions(request.options);
+
+    JobHooks hooks;
+    hooks.lookup = [&](CompileResult &hit) {
+        hit.program = cache_.lookup(key);
+        // Only attach a snapshot that's still pooled: a cache hit
+        // must never pay for a Machine rebuild.
+        if (hit.program)
+            hit.machine = machines_.tryAcquire(request.topo, request.cal);
+        return hit.program != nullptr;
+    };
+    hooks.machine = [&] {
+        return machines_.acquire(request.topo, request.cal);
+    };
+    hooks.store = [&](const std::shared_ptr<const CompiledProgram> &p) {
+        cache_.insert(key, p);
+    };
+
+    CompileResult result =
+        compileJob(request.circuit, request.options, pool_, hooks);
+    result.tag = request.tag;
+    result.day = request.day;
     result.seconds = secondsSince(start);
     return result;
 }

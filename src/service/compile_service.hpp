@@ -27,6 +27,7 @@
 #ifndef QC_SERVICE_COMPILE_SERVICE_HPP
 #define QC_SERVICE_COMPILE_SERVICE_HPP
 
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
@@ -121,6 +122,41 @@ struct CompileResult
     /** Job wall time, failures included (cache hits ~0). */
     double seconds = 0.0;
 };
+
+/**
+ * What the caller of compileJob plugs in: its cache tiers and its
+ * machine snapshot. Every hook runs inside compileJob's exception
+ * fence.
+ */
+struct JobHooks
+{
+    /**
+     * Serve the job from the caller's cache: on a hit, set
+     * result.program (and result.machine, when a snapshot is at hand
+     * without building one) and return true.
+     */
+    std::function<bool(CompileResult &result)> lookup;
+
+    /** The machine snapshot to compile against on a cache miss. */
+    std::function<std::shared_ptr<const Machine>()> machine;
+
+    /** Keep a clean result: a program whose status is ok. */
+    std::function<void(const std::shared_ptr<const CompiledProgram> &)>
+        store;
+};
+
+/**
+ * The job core of CompileService and the daemon: serve `circuit` from
+ * the caller's cache, or compile it — racing options.portfolio on
+ * `pool` when enabled, else the standard pipeline — and store the
+ * result when it is clean. Degraded fallbacks come back ok but are
+ * never stored. Never throws: any exception, the hooks' included,
+ * becomes an internal-error result with no program or machine. The
+ * caller fills tag, day and seconds.
+ */
+CompileResult compileJob(const Circuit &circuit,
+                         const CompilerOptions &options, ThreadPool &pool,
+                         const JobHooks &hooks);
 
 /** Per-stage aggregate across a batch. */
 struct StageSummary
