@@ -100,6 +100,12 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
 
     const bool reliability =
         options.objective == SmtObjectiveKind::Reliability;
+    // Eq. 12 weighs readouts by omega and CNOTs by 1 - omega: outside
+    // [0, 1] one of the two terms would reward unreliable hardware.
+    if (reliability &&
+        !(options.readoutWeight >= 0.0 && options.readoutWeight <= 1.0))
+        QC_FATAL("readout weight omega must be in [0, 1], got ",
+                 options.readoutWeight);
     // The duration objective is meaningless without start times, so
     // joint scheduling is forced on for it.
     const bool joint = options.jointScheduling || !reliability;

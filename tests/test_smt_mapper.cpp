@@ -2,7 +2,8 @@
  * @file
  * SMT bundle tests: the Z3 optimum must agree with the independent
  * branch-and-bound optimum on the reliability objective, duration
- * variants must prove optimality, and solutions must be valid.
+ * variants must prove optimality, solutions must be valid, and an
+ * Eq. 12 weight outside [0, 1] is rejected.
  */
 
 #include <gtest/gtest.h>
@@ -212,6 +213,34 @@ TEST(SmtBundle, OmegaOnePlacesMeasuredQubitsOnBestReadouts)
     double got = std::log(m->cal().readoutReliability(cp.layout[0])) +
                  std::log(m->cal().readoutReliability(cp.layout[1]));
     EXPECT_NEAR(got, best, 1e-9);
+}
+
+TEST(SmtBundle, OmegaOutsideUnitIntervalIsRejected)
+{
+    // Outside [0, 1] one Eq. 12 term would reward unreliable
+    // hardware: the placement stage refuses instead of optimizing an
+    // inverted objective.
+    auto m = day0Snapshot();
+    Benchmark b = benchmarkByName("BV4");
+    for (double omega : {2.0, -1.0, std::nan("")}) {
+        SCOPED_TRACE(omega);
+        CompilerOptions opts = smtOptions(MapperKind::RSmtStar);
+        opts.readoutWeight = omega;
+        PipelineResult r = standardPipeline(m, opts).run(b.circuit);
+        EXPECT_FALSE(r.hasProgram);
+        EXPECT_EQ(r.status.code, CompileStatusCode::Infeasible);
+        EXPECT_EQ(r.failedStage, "placement");
+        EXPECT_NE(r.status.message.find("omega"), std::string::npos)
+            << r.status.message;
+    }
+    for (double omega : {0.0, 1.0}) {
+        SCOPED_TRACE(omega);
+        CompilerOptions opts = smtOptions(MapperKind::RSmtStar);
+        opts.readoutWeight = omega;
+        PipelineResult r = standardPipeline(m, opts).run(b.circuit);
+        EXPECT_TRUE(r.ok()) << r.status.message;
+        EXPECT_TRUE(r.hasProgram);
+    }
 }
 
 TEST(SmtBundle, TinyTimeoutStillProducesRunnableCode)

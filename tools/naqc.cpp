@@ -121,8 +121,8 @@ printUsage(std::ostream &os)
           "calibration_io.hpp)\n"
           "  --seed S --day D     synthetic calibration instead "
           "(defaults 20190131, 0)\n"
-          "  --omega W            Eq. 12 readout weight for R-SMT* "
-          "(default 0.5)\n"
+          "  --omega W            Eq. 12 readout weight for R-SMT*, "
+          "in [0, 1] (default 0.5)\n"
           "  --timeout MS         SMT budget in milliseconds (default "
           "60000)\n"
           "  --sabre-iterations N Sabre refinement round trips "
