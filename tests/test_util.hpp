@@ -22,6 +22,20 @@ namespace qc::test {
 /** Seed used everywhere so failures reproduce exactly. */
 inline constexpr std::uint64_t kSeed = 20190131; // paper arXiv date
 
+/**
+ * Whether this is a ThreadSanitizer build. Z3 budgets each check with
+ * a timer thread that takes a std::timed_mutex through try_lock_until.
+ * A TSan runtime that does not intercept pthread_mutex_clocklock (GCC
+ * 12's does not) misses that lock and reports the timer's unlock as
+ * an unlock of an unlocked mutex, so tests whose timed Z3 checks run
+ * to completion skip under TSan.
+ */
+#if defined(__SANITIZE_THREAD__)
+inline constexpr bool kThreadSanitizer = true;
+#else
+inline constexpr bool kThreadSanitizer = false;
+#endif
+
 /** Process-wide IBMQ16 environment. */
 inline const ExperimentEnv &
 env()
