@@ -3,9 +3,9 @@
  * The concrete compiler passes: every Table 1 stage as a composable
  * pipeline element, plus factories for fluent PipelineBuilder use.
  *
- * Placement passes wrap the placement algorithms in mappers/
- * (greedyVertexPlacement, greedyEdgePlacement, sabrePlacement, and
- * solveSmtMapping through smtModelOptionsFor).
+ * Placement passes wrap the free placement functions in mappers/
+ * (qiskitTrivialLayout, greedyVertexPlacement, greedyEdgePlacement,
+ * sabrePlacementDetailed) and solveSmtMapping in solver/.
  */
 
 #ifndef QC_CORE_PASSES_HPP
