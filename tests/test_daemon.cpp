@@ -27,6 +27,7 @@
 #include "daemon/protocol.hpp"
 #include "ir/qasm.hpp"
 #include "machine/calibration_model.hpp"
+#include "service/fingerprints.hpp"
 #include "support/rng.hpp"
 #include "tests/test_util.hpp"
 #include "verify/mutate.hpp"
@@ -668,6 +669,54 @@ TEST(Daemon, RolloverRecompileIsBitIdenticalToNewDayPipeline)
                   bench.circuit.numClbits())),
               emitQasm(direct.program.hwCircuit(
                   bench.circuit.numClbits())));
+}
+
+TEST(Daemon, RolloverWarmsTopKByUsesThenFirstSeen)
+{
+    DaemonOptions opts = fastOptions();
+    opts.warmTopK = 4;
+    CompileDaemon d(topo(), day(0), opts);
+
+    // Twelve distinct circuits. The three-way tie at 3 uses straddles
+    // the top-4 cut, so first-seen order decides which one is warmed.
+    const std::vector<int> uses = {2, 3, 1, 3, 2, 4, 1, 3, 1, 2, 3, 1};
+    std::vector<Circuit> circuits;
+    for (std::size_t i = 0; i < uses.size(); ++i) {
+        Circuit c("warm" + std::to_string(i), 3);
+        for (std::size_t k = 0; k <= i; ++k)
+            c.cnot(static_cast<int>(k % 2), 2);
+        c.measure(2, 0);
+        circuits.push_back(c);
+    }
+    // Waiting on each job in turn fixes the first-seen order: every
+    // circuit once, in index order, then the repeats.
+    std::uint64_t lastId = 0;
+    for (std::size_t i = 0; i < circuits.size(); ++i)
+        lastId = submitAndWait(d, circuits[i]).id;
+    for (std::size_t i = 0; i < circuits.size(); ++i)
+        for (int u = 1; u < uses[i]; ++u)
+            lastId = submitAndWait(d, circuits[i]).id;
+
+    CompileDaemon::ReloadOutcome reload =
+        d.reload(day(1), 1, "test-day-1");
+    EXPECT_EQ(reload.warmed, 4);
+    d.awaitIdle();
+
+    // Ranked by uses descending, then first seen: circuit 5 (4 uses),
+    // then 1, 3 and 7 of the four with 3 uses; 10 misses the cut.
+    const std::vector<std::size_t> expected = {5, 1, 3, 7};
+    for (std::size_t rank = 0; rank < expected.size(); ++rank) {
+        JobSnapshot warm;
+        ASSERT_TRUE(d.status(lastId + 1 + rank, warm)) << rank;
+        EXPECT_EQ(warm.state, daemon::JobState::Done);
+        char fp[17];
+        std::snprintf(fp, sizeof(fp), "%016llx",
+                      static_cast<unsigned long long>(
+                          service::fingerprintCircuit(
+                              circuits[expected[rank]])));
+        EXPECT_EQ(warm.result.tag, std::string("warm:") + fp)
+            << "rank " << rank;
+    }
 }
 
 TEST(Daemon, InFlightJobsFinishOnOldEpochDuringRollover)
