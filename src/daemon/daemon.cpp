@@ -49,6 +49,44 @@ defaultShards(int threads)
 /** The internal tenant warm recompiles run under (bypasses quota). */
 const char *const kWarmTenant = "@warm";
 
+/** Warm-up summary entries per warmed pair. */
+constexpr std::size_t kHotPerWarm = 4;
+
+const DaemonOptions &
+checkedOptions(const DaemonOptions &options)
+{
+    if (options.warmTopK < 0)
+        QC_FATAL("warmTopK must be >= 0, got ", options.warmTopK);
+    return options;
+}
+
+JobSummary
+summarize(const service::CompileResult &result)
+{
+    JobSummary s;
+    if (result.program) {
+        s.hasProgram = true;
+        s.swapCount = result.program->swapCount;
+        s.duration = result.program->duration;
+        s.predictedSuccess = result.program->predictedSuccess;
+    }
+    s.raced = result.portfolio.size();
+    for (const PortfolioCandidate &c : result.portfolio)
+        if (c.cancelled)
+            ++s.cancelled;
+    return s;
+}
+
+/** Drop what only the submitter needs; the summary covers the rest. */
+void
+releaseProgram(service::CompileResult &result)
+{
+    result.program.reset();
+    result.machine.reset();
+    result.stageTraces = std::vector<StageTrace>();
+    result.portfolio = std::vector<PortfolioCandidate>();
+}
+
 } // namespace
 
 const char *
@@ -86,8 +124,11 @@ struct CompileDaemon::JobRecord
     Lane lane = Lane::Normal;
     std::string tag;
     bool warm = false;
-    Circuit circuit;
-    CompilerOptions options;
+    /// The thread whose first wait() takes the program; none when no
+    /// one will wait, so the program goes when the job finishes.
+    std::thread::id collector;
+    Circuit circuit;         ///< moved out when the job starts
+    CompilerOptions options; ///< moved out when the job starts
     std::uint64_t circuitFp = 0;
     std::uint64_t optionsFp = 0;
     int numClbits = 0;
@@ -95,6 +136,7 @@ struct CompileDaemon::JobRecord
     JobState state = JobState::Queued;
     int epochId = 0;
     CacheSource cacheSource = CacheSource::None;
+    JobSummary summary;
     service::CompileResult result;
 };
 
@@ -102,7 +144,7 @@ CompileDaemon::CompileDaemon(Topology topo, Calibration initial,
                              DaemonOptions options, int day,
                              std::string source)
     : topo_(std::move(topo)),
-      options_(options),
+      options_(checkedOptions(options)),
       queue_(options.shards > 0
                  ? options.shards
                  : defaultShards(resolveThreads(options.threads))),
@@ -131,7 +173,7 @@ CompileDaemon::~CompileDaemon()
 CompileDaemon::SubmitOutcome
 CompileDaemon::submit(const std::string &tenant, Lane lane,
                       Circuit circuit, const CompilerOptions &options,
-                      std::string tag)
+                      std::string tag, bool collect)
 {
     const bool warm = tenant == kWarmTenant;
     const std::uint64_t circuit_fp =
@@ -144,6 +186,8 @@ CompileDaemon::submit(const std::string &tenant, Lane lane,
     record->lane = lane;
     record->tag = std::move(tag);
     record->warm = warm;
+    if (collect)
+        record->collector = std::this_thread::get_id();
     record->numClbits = circuit.numClbits();
     record->circuit = std::move(circuit);
     record->options = options;
@@ -156,9 +200,13 @@ CompileDaemon::submit(const std::string &tenant, Lane lane,
             ++rejected_;
             return {false, 0, "rejected:shutting-down"};
         }
-        TenantStats &ts = tenants_[tenant];
-        if (ts.tenant.empty())
+        auto [slot, fresh] = tenants_.try_emplace(tenant);
+        TenantEntry &entry = slot->second;
+        TenantStats &ts = entry.stats;
+        if (fresh) {
             ts.tenant = tenant;
+            entry.idle = idleTenants_.end();
+        }
         if (!warm && options_.tenantQuota > 0 &&
             ts.inFlight >= options_.tenantQuota) {
             ++rejected_;
@@ -168,6 +216,10 @@ CompileDaemon::submit(const std::string &tenant, Lane lane,
                         " inflight=" + std::to_string(ts.inFlight) +
                         " quota=" +
                         std::to_string(options_.tenantQuota)};
+        }
+        if (entry.idle != idleTenants_.end()) {
+            idleTenants_.erase(entry.idle);
+            entry.idle = idleTenants_.end();
         }
         record->id = nextJobId_++;
         jobs_[record->id] = record;
@@ -207,10 +259,15 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
     // current epoch mid-compile.
     std::shared_ptr<const Epoch> epoch = currentEpoch();
 
+    // Nothing reads the source after this job: it leaves the record.
+    Circuit circuit;
+    CompilerOptions options;
     {
         std::lock_guard<std::mutex> lock(jobsMu_);
         record->state = JobState::Running;
         record->epochId = epoch->id;
+        circuit = std::move(record->circuit);
+        options = std::move(record->options);
     }
 
     service::CacheKey key;
@@ -219,8 +276,8 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
     key.options = record->optionsFp;
 
     if (!record->warm)
-        noteHotUse(record->circuit, record->options,
-                   record->circuitFp, record->optionsFp);
+        noteHotUse(circuit, options, record->circuitFp,
+                   record->optionsFp);
 
     CacheSource source = CacheSource::None;
     bool verifiedOnLoad = false;
@@ -230,7 +287,7 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
         if (auto cached = memCache_.lookup(key)) {
             hit.program = std::move(cached);
             source = CacheSource::Memory;
-        } else if (auto loaded = loadVerified(key, record->circuit,
+        } else if (auto loaded = loadVerified(key, circuit,
                                               *epoch->machine,
                                               verifiedOnLoad,
                                               healedEntry)) {
@@ -249,24 +306,23 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
         disk_.store(key, *p);
     };
 
-    service::CompileResult result = service::compileJob(
-        record->circuit, record->options, pool_, hooks);
-    result.tag = record->tag;
+    service::CompileResult result =
+        service::compileJob(circuit, options, pool_, hooks);
+    result.tag = std::move(record->tag);
     result.day = epoch->day;
     result.seconds = secondsSince(start);
 
-    {
-        std::lock_guard<std::mutex> lock(jobsMu_);
-        record->cacheSource = source;
-        record->result = std::move(result);
-        if (source == CacheSource::Disk)
-            ++diskHits_;
-        if (verifiedOnLoad)
-            ++verifiedOnLoad_;
-        if (healedEntry)
-            ++healed_;
-    }
-    finishJob(record);
+    std::lock_guard<std::mutex> lock(jobsMu_);
+    record->cacheSource = source;
+    record->summary = summarize(result);
+    record->result = std::move(result);
+    if (source == CacheSource::Disk)
+        ++diskHits_;
+    if (verifiedOnLoad)
+        ++verifiedOnLoad_;
+    if (healedEntry)
+        ++healed_;
+    finishLocked(*record);
 }
 
 std::shared_ptr<const CompiledProgram>
@@ -298,17 +354,27 @@ CompileDaemon::loadVerified(const service::CacheKey &key,
 }
 
 void
-CompileDaemon::finishJob(const std::shared_ptr<JobRecord> &record)
+CompileDaemon::finishLocked(JobRecord &record)
 {
-    std::lock_guard<std::mutex> lock(jobsMu_);
-    record->state = JobState::Done;
+    record.state = JobState::Done;
+    if (record.collector == std::thread::id())
+        releaseProgram(record.result);
     ++completed_;
-    auto it = tenants_.find(record->tenant);
+    auto it = tenants_.find(record.tenant);
     if (it != tenants_.end()) {
-        ++it->second.completed;
-        --it->second.inFlight;
+        TenantStats &ts = it->second.stats;
+        ++ts.completed;
+        if (--ts.inFlight == 0) {
+            it->second.idle = idleTenants_.insert(idleTenants_.end(),
+                                                  record.tenant);
+            if (idleTenants_.size() > kMaxIdleTenants) {
+                tenants_.erase(idleTenants_.front());
+                idleTenants_.pop_front();
+            }
+        }
     }
-    doneOrder_.push_back(record->id);
+    // A pruned record lives on in a wait() already blocked on it.
+    doneOrder_.push_back(record.id);
     while (doneOrder_.size() > options_.jobHistory) {
         jobs_.erase(doneOrder_.front());
         doneOrder_.pop_front();
@@ -326,16 +392,35 @@ CompileDaemon::noteHotUse(const Circuit &circuit,
                           std::uint64_t circuit_fp,
                           std::uint64_t options_fp)
 {
+    const std::size_t capacity =
+        kHotPerWarm * static_cast<std::size_t>(options_.warmTopK);
+    if (capacity == 0)
+        return;
     Fingerprint fp;
     fp.mix(circuit_fp).mix(options_fp);
+    const std::uint64_t key = fp.value();
+
+    // Space-Saving (Metwally, Agrawal and El Abbadi, ICDT 2005): a
+    // tracked pair counts one more use; an untracked one takes over
+    // the entry with the fewest uses and inherits its count plus one.
     std::lock_guard<std::mutex> lock(hotMu_);
-    HotEntry &entry = hot_[fp.value()];
-    if (entry.uses == 0) {
-        entry.circuit = circuit;
-        entry.options = options;
-        entry.firstSeen = hotSeq_++;
+    auto tracked = hotRanks_.find(key);
+    if (tracked != hotRanks_.end()) {
+        auto node = hot_.extract(tracked->second);
+        ++node.key().uses;
+        tracked->second = node.key();
+        hot_.insert(std::move(node));
+        return;
     }
-    ++entry.uses;
+    HotRank rank{1, hotSeq_++};
+    if (hot_.size() == capacity) {
+        auto victim = hot_.begin();
+        rank.uses += victim->first.uses;
+        hotRanks_.erase(victim->second.key);
+        hot_.erase(victim);
+    }
+    hot_.emplace(rank, HotEntry{key, circuit_fp, circuit, options});
+    hotRanks_.emplace(key, rank);
 }
 
 bool
@@ -361,6 +446,13 @@ CompileDaemon::wait(std::uint64_t id, JobSnapshot &out)
     jobDone_.wait(lock,
                   [&] { return record->state == JobState::Done; });
     out = snapshotLocked(*record);
+    // Only the submitter's wait() collects: another waiter on the same
+    // id (naqcd's `wait` from a second connection) must not leave the
+    // submitter without its program.
+    if (record->collector == std::this_thread::get_id()) {
+        record->collector = std::thread::id();
+        releaseProgram(record->result);
+    }
     return true;
 }
 
@@ -375,6 +467,7 @@ CompileDaemon::snapshotLocked(const JobRecord &record) const
     snap.epochId = record.epochId;
     snap.cacheSource = record.cacheSource;
     snap.numClbits = record.numClbits;
+    snap.summary = record.summary;
     snap.result = record.result;
     return snap;
 }
@@ -402,31 +495,24 @@ CompileDaemon::reload(Calibration cal, int day, std::string source)
 
     // Proactive warm-up: recompile the hottest fingerprints against
     // the new day in the low-priority lane so the morning rush hits
-    // a warm cache without starving interactive submits.
+    // a warm cache without starving interactive submits. hot_ ends
+    // with the best pairs: read backwards, it ranks by uses, then
+    // first seen.
     std::vector<HotEntry> hottest;
     {
         std::lock_guard<std::mutex> lock(hotMu_);
-        hottest.reserve(hot_.size());
-        for (const auto &[fp, entry] : hot_)
-            hottest.push_back(entry);
+        for (auto it = hot_.rbegin();
+             it != hot_.rend() &&
+             hottest.size() < static_cast<std::size_t>(options_.warmTopK);
+             ++it)
+            hottest.push_back(it->second);
     }
-    std::sort(hottest.begin(), hottest.end(),
-              [](const HotEntry &a, const HotEntry &b) {
-                  if (a.uses != b.uses)
-                      return a.uses > b.uses;
-                  return a.firstSeen < b.firstSeen;
-              });
-    if (options_.warmTopK >= 0 &&
-        hottest.size() > static_cast<std::size_t>(options_.warmTopK))
-        hottest.resize(static_cast<std::size_t>(options_.warmTopK));
 
     int warmed = 0;
     for (HotEntry &entry : hottest) {
-        const std::uint64_t circuit_fp =
-            service::fingerprintCircuit(entry.circuit);
-        SubmitOutcome outcome =
-            submit(kWarmTenant, Lane::Low, std::move(entry.circuit),
-                   entry.options, "warm:" + hexFp(circuit_fp));
+        SubmitOutcome outcome = submit(
+            kWarmTenant, Lane::Low, std::move(entry.circuit),
+            entry.options, "warm:" + hexFp(entry.circuitFp), false);
         if (outcome.accepted)
             ++warmed;
     }
@@ -478,8 +564,12 @@ CompileDaemon::stats() const
         s.warmRecompiles = warmRecompiles_;
         s.verifiedOnLoad = verifiedOnLoad_;
         s.healed = healed_;
-        for (const auto &[name, ts] : tenants_)
-            s.tenants.push_back(ts);
+        s.records = jobs_.size();
+        for (const auto &[id, record] : jobs_)
+            if (record->result.program)
+                ++s.programsHeld;
+        for (const auto &[name, entry] : tenants_)
+            s.tenants.push_back(entry.stats);
     }
     std::sort(s.tenants.begin(), s.tenants.end(),
               [](const TenantStats &a, const TenantStats &b) {
@@ -489,6 +579,10 @@ CompileDaemon::stats() const
         std::lock_guard<std::mutex> lock(epochMu_);
         s.epochId = epoch_->id;
         s.epochDay = epoch_->day;
+    }
+    {
+        std::lock_guard<std::mutex> lock(hotMu_);
+        s.hotEntries = hot_.size();
     }
     s.queue = queue_.stats();
     s.memCache = memCache_.stats();

@@ -27,6 +27,11 @@
  *     nothing fails), then proactively recompiles the top-K hottest
  *     (circuit, options) fingerprints against the new day so the
  *     post-rollover rush hits a warm cache.
+ *
+ * What the daemon keeps does not grow with the jobs it serves: at
+ * most `jobHistory` finished records, each down to a summary once its
+ * program is collected, a warm-up summary of 4 x `warmTopK` pairs,
+ * and at most kMaxIdleTenants idle tenant entries.
  */
 
 #ifndef QC_DAEMON_DAEMON_HPP
@@ -35,6 +40,8 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <list>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -61,8 +68,22 @@ struct DaemonOptions
     std::size_t cacheByteCapacity = 0;    ///< in-memory bytes; 0 off
     std::string cacheDir;                 ///< empty = no persistence
     std::uint64_t tenantQuota = 64; ///< max in-flight per tenant; 0 off
-    int warmTopK = 32;      ///< hot fingerprints recompiled on rollover
-    std::size_t jobHistory = 65536; ///< completed records retained
+
+    /**
+     * Hot (circuit, options) pairs recompiled on rollover; >= 0, a
+     * negative count is rejected. Uses are counted by a Space-Saving
+     * summary of 4 x warmTopK entries, exact while fewer distinct
+     * pairs than that have been seen; 0 counts nothing.
+     */
+    int warmTopK = 32;
+
+    /**
+     * Completed job records kept for `status` and `wait`, oldest
+     * dropped first. A record keeps its program only until its
+     * submitter collects it (see JobSnapshot); after that it is a few
+     * hundred bytes.
+     */
+    std::size_t jobHistory = 65536;
 
     /**
      * Run the translation validator over every disk-cache entry
@@ -92,7 +113,26 @@ enum class CacheSource { None, Memory, Disk };
 
 const char *cacheSourceName(CacheSource src);
 
-/** Externally visible view of one job. */
+/** A finished job's headline figures; they outlive its program. */
+struct JobSummary
+{
+    bool hasProgram = false; ///< the three figures below are set
+    int swapCount = 0;
+    Timeslot duration = 0;
+    double predictedSuccess = 0.0;
+    std::size_t raced = 0;     ///< portfolio candidates; 0 = no race
+    std::size_t cancelled = 0; ///< candidates cancelled early
+};
+
+/**
+ * Externally visible view of one job.
+ *
+ * A finished job holds its program and machine snapshot until the
+ * first wait() on the thread that submitted it returns them, or, for
+ * a job submitted with `collect` false, until it finishes. From then
+ * on `result` comes back without program, machine, stage traces or
+ * portfolio candidates; `summary` and the rest stay.
+ */
 struct JobSnapshot
 {
     std::uint64_t id = 0;
@@ -102,8 +142,15 @@ struct JobSnapshot
     int epochId = 0;          ///< epoch the job compiled against
     CacheSource cacheSource = CacheSource::None;
     int numClbits = 0;        ///< of the submitted circuit
+    JobSummary summary;       ///< meaningful once Done
     service::CompileResult result; ///< meaningful once Done
 };
+
+/**
+ * Tenants with nothing in flight that keep their accounting entry; the
+ * least recently active one beyond this is dropped.
+ */
+constexpr std::size_t kMaxIdleTenants = 1024;
 
 /** Per-tenant admission accounting. */
 struct TenantStats
@@ -131,6 +178,9 @@ struct DaemonStats
     service::CompileCacheStats memCache;
     DiskCacheStats disk;
     std::size_t diskEntries = 0;
+    std::size_t records = 0;      ///< job records retained
+    std::size_t programsHeld = 0; ///< of those, still holding a program
+    std::size_t hotEntries = 0;   ///< pairs the warm-up summary tracks
     std::vector<TenantStats> tenants; ///< sorted by tenant name
 };
 
@@ -173,16 +223,23 @@ class CompileDaemon
     /**
      * Admit a job into the queue. Rejection (over-quota, shutting
      * down) is a structured outcome, not an error.
+     *
+     * @param collect true when the calling thread will wait() for the
+     *        job: its first wait() takes the program. False when no
+     *        one will, so the job drops its program when it finishes.
      */
     SubmitOutcome submit(const std::string &tenant, Lane lane,
                          Circuit circuit,
                          const CompilerOptions &options,
-                         std::string tag);
+                         std::string tag, bool collect = true);
 
     /** Non-blocking job view; false when the id is unknown. */
     bool status(std::uint64_t id, JobSnapshot &out) const;
 
-    /** Block until the job completes; false when the id is unknown. */
+    /**
+     * Block until the job completes; false when the id is unknown.
+     * The submitting thread's first wait() hands over the program.
+     */
     bool wait(std::uint64_t id, JobSnapshot &out);
 
     /** Outcome of a calibration rollover. */
@@ -222,7 +279,7 @@ class CompileDaemon
         const service::CacheKey &key, const Circuit &circuit,
         const Machine &machine, bool &verifiedOnLoad,
         bool &healedEntry);
-    void finishJob(const std::shared_ptr<JobRecord> &record);
+    void finishLocked(JobRecord &record);
     void noteHotUse(const Circuit &circuit,
                     const CompilerOptions &options,
                     std::uint64_t circuit_fp,
@@ -255,17 +312,39 @@ class CompileDaemon
     std::uint64_t warmRecompiles_ = 0;
     std::uint64_t verifiedOnLoad_ = 0;
     std::uint64_t healed_ = 0;
-    std::unordered_map<std::string, TenantStats> tenants_;
+    struct TenantEntry
+    {
+        TenantStats stats;
+        /// Its place in idleTenants_; idleTenants_.end() while busy.
+        std::list<std::string>::iterator idle;
+    };
+    std::unordered_map<std::string, TenantEntry> tenants_;
+    /// Tenants with nothing in flight, least recently active first.
+    std::list<std::string> idleTenants_;
 
     mutable std::mutex hotMu_;
+    /// A tracked pair's count: uses, then first seen. In ascending
+    /// order the eviction victim (fewest uses; ties: latest first
+    /// seen) comes first; read backwards, it is the warm-up's ranking.
+    struct HotRank
+    {
+        std::uint64_t uses = 0;
+        std::uint64_t firstSeen = 0;
+        bool operator<(const HotRank &o) const
+        {
+            return uses != o.uses ? uses < o.uses
+                                  : firstSeen > o.firstSeen;
+        }
+    };
     struct HotEntry
     {
+        std::uint64_t key = 0; ///< mixes circuitFp and the options fp
+        std::uint64_t circuitFp = 0;
         Circuit circuit;
         CompilerOptions options;
-        std::uint64_t uses = 0;
-        std::uint64_t firstSeen = 0; ///< tie-break: earlier wins
     };
-    std::unordered_map<std::uint64_t, HotEntry> hot_;
+    std::map<HotRank, HotEntry> hot_; ///< at most 4 x warmTopK
+    std::unordered_map<std::uint64_t, HotRank> hotRanks_; ///< by key
     std::uint64_t hotSeq_ = 0; ///< first-seen ordering for ties
 
     service::ThreadPool pool_; ///< last member: workers die first

@@ -67,6 +67,17 @@ DiskCacheStore::DiskCacheStore(const std::string &dir) : dir_(dir)
     if (ec || !fs::is_directory(dir_))
         QC_FATAL("cannot create cache directory '", dir_,
                  "': ", ec.message());
+    // A kill between store()'s write and its rename leaves a temp file
+    // that nothing reads or removes: sweep them once, here. A replica
+    // sharing the directory loses at most a store in flight, which
+    // counts as a store failure.
+    for (const auto &entry : fs::directory_iterator(dir_, ec)) {
+        if (entry.path().filename().string().find(".ncp.tmp.") !=
+            std::string::npos) {
+            std::error_code ignored;
+            fs::remove(entry.path(), ignored);
+        }
+    }
 }
 
 std::string

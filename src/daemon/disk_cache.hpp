@@ -54,6 +54,7 @@ class DiskCacheStore
     /**
      * @param dir cache directory; created (with parents) if missing.
      *        Throws FatalError when the directory cannot be created.
+     *        Temp files a killed store() left behind are removed.
      */
     explicit DiskCacheStore(const std::string &dir);
 

@@ -8,12 +8,14 @@
  * one-shot pipeline.
  */
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/socket.h>
@@ -86,6 +88,22 @@ greedyOptions()
     CompilerOptions copts;
     copts.mapper = MapperKind::GreedyE;
     return copts;
+}
+
+/** A small circuit that differs from variant(j) for every j != i. */
+Circuit
+variant(int i)
+{
+    Circuit c("v" + std::to_string(i), 4);
+    for (int bit = 0; bit < 13; ++bit) {
+        if ((i >> bit) & 1)
+            c.cnot(bit % 3, 3);
+        else
+            c.h(bit % 4);
+    }
+    for (int q = 0; q < 4; ++q)
+        c.measure(q, q);
+    return c;
 }
 
 JobSnapshot
@@ -361,6 +379,38 @@ TEST(Daemon, OverQuotaSubmitIsRejectedStructurally)
     }
 }
 
+TEST(Daemon, NegativeWarmTopKIsRejected)
+{
+    DaemonOptions opts = fastOptions();
+    opts.warmTopK = -1;
+    EXPECT_THROW(CompileDaemon(topo(), day(0), opts), FatalError);
+}
+
+TEST(Daemon, IdleTenantEntriesAreCapped)
+{
+    CompileDaemon d(topo(), day(0), fastOptions());
+    const Circuit bv4 = benchmarkByName("BV4").circuit;
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_TRUE(
+            submitAndWait(d, bv4, "t" + std::to_string(i)).result.ok);
+
+    daemon::DaemonStats stats = d.stats();
+    EXPECT_EQ(stats.tenants.size(), daemon::kMaxIdleTenants);
+    EXPECT_EQ(stats.submitted, 2000u);
+    EXPECT_EQ(stats.completed, 2000u);
+    // The least recently active went first.
+    auto has = [&](const std::string &name) {
+        return std::any_of(stats.tenants.begin(), stats.tenants.end(),
+                           [&](const daemon::TenantStats &t) {
+                               return t.tenant == name;
+                           });
+    };
+    EXPECT_FALSE(has("t0"));
+    EXPECT_FALSE(has("t975"));
+    EXPECT_TRUE(has("t976"));
+    EXPECT_TRUE(has("t1999"));
+}
+
 TEST(Daemon, ShutdownRejectsNewSubmits)
 {
     CompileDaemon d(topo(), day(0), fastOptions());
@@ -433,6 +483,95 @@ TEST(Daemon, FailedJobIsNeverCached)
 }
 
 // ---------------------------------------------------------------- //
+// Daemon: what a finished job keeps
+// ---------------------------------------------------------------- //
+
+TEST(Daemon, SubmitterWaitCollectsTheProgramOnce)
+{
+    CompileDaemon d(topo(), day(0), fastOptions());
+    const Circuit bv4 = benchmarkByName("BV4").circuit;
+
+    // A memory hit can finish before its submitter waits: the program
+    // stays until that wait.
+    submitAndWait(d, bv4);
+    CompileDaemon::SubmitOutcome out =
+        d.submit("t0", Lane::Normal, bv4, greedyOptions(), "hit");
+    ASSERT_TRUE(out.accepted);
+    d.awaitIdle();
+    EXPECT_EQ(d.stats().programsHeld, 1u);
+
+    // Another thread's wait sees the program but leaves it in place.
+    JobSnapshot other;
+    std::thread([&] { EXPECT_TRUE(d.wait(out.id, other)); }).join();
+    EXPECT_NE(other.result.program, nullptr);
+    EXPECT_EQ(d.stats().programsHeld, 1u);
+
+    JobSnapshot mine;
+    ASSERT_TRUE(d.wait(out.id, mine));
+    ASSERT_NE(mine.result.program, nullptr);
+    EXPECT_NE(mine.result.machine, nullptr);
+    EXPECT_EQ(mine.cacheSource, daemon::CacheSource::Memory);
+    EXPECT_EQ(d.stats().programsHeld, 0u);
+
+    // From here on the record answers from its summary alone.
+    for (bool wait : {false, true}) {
+        SCOPED_TRACE(wait ? "wait" : "status");
+        JobSnapshot later;
+        ASSERT_TRUE(wait ? d.wait(out.id, later)
+                         : d.status(out.id, later));
+        EXPECT_EQ(later.result.program, nullptr);
+        EXPECT_EQ(later.result.machine, nullptr);
+        EXPECT_TRUE(later.result.ok);
+        EXPECT_EQ(later.result.tag, "hit");
+        EXPECT_EQ(later.cacheSource, daemon::CacheSource::Memory);
+        EXPECT_TRUE(later.summary.hasProgram);
+        EXPECT_EQ(later.summary.swapCount,
+                  mine.result.program->swapCount);
+        EXPECT_EQ(later.summary.duration,
+                  mine.result.program->duration);
+        EXPECT_EQ(later.summary.predictedSuccess,
+                  mine.result.program->predictedSuccess);
+    }
+}
+
+TEST(Daemon, RetainedStateStaysFlatByCount)
+{
+    DaemonOptions opts = fastOptions();
+    opts.jobHistory = 64;
+    opts.warmTopK = 8;
+    CompileDaemon d(topo(), day(0), opts);
+
+    // 2,000 rounds under 2,000 tenant names: a job nobody will wait
+    // for, then a waited one, every circuit distinct.
+    for (int i = 0; i < 2000; ++i) {
+        const std::string tenant = "t" + std::to_string(i);
+        CompileDaemon::SubmitOutcome unwaited = d.submit(
+            tenant, Lane::Normal, variant(2 * i), greedyOptions(),
+            "unwaited", false);
+        ASSERT_TRUE(unwaited.accepted) << unwaited.reason;
+        JobSnapshot waited = submitAndWait(d, variant(2 * i + 1), tenant);
+        ASSERT_TRUE(waited.result.ok) << waited.result.error();
+        ASSERT_NE(waited.result.program, nullptr);
+
+        // Look without collecting: the unwaited job dropped its program
+        // when it finished, and its summary still reads ok.
+        JobSnapshot dropped;
+        ASSERT_TRUE(d.wait(unwaited.id, dropped));
+        ASSERT_TRUE(dropped.result.ok) << dropped.result.error();
+        EXPECT_TRUE(dropped.summary.hasProgram);
+        EXPECT_EQ(dropped.result.program, nullptr);
+    }
+    d.awaitIdle();
+
+    daemon::DaemonStats stats = d.stats();
+    EXPECT_EQ(stats.completed, 4000u);
+    EXPECT_LE(stats.records, 64u);
+    EXPECT_EQ(stats.programsHeld, 0u);
+    EXPECT_LE(stats.hotEntries, 32u);
+    EXPECT_LE(stats.tenants.size(), daemon::kMaxIdleTenants);
+}
+
+// ---------------------------------------------------------------- //
 // Daemon: persistent cache
 // ---------------------------------------------------------------- //
 
@@ -481,6 +620,30 @@ TEST(Daemon, RestartServesWorkingSetFromDisk)
                   bench.circuit.numClbits())),
               emitQasm(direct.program.hwCircuit(
                   bench.circuit.numClbits())));
+}
+
+TEST(Daemon, OrphanedTempFilesAreSweptOnOpen)
+{
+    ScratchDir scratch("orphan");
+    DaemonOptions opts = fastOptions();
+    opts.cacheDir = scratch.path.string();
+    const Circuit circuit = benchmarkByName("BV4").circuit;
+    {
+        CompileDaemon d(topo(), day(0), opts);
+        ASSERT_TRUE(submitAndWait(d, circuit).result.ok);
+    }
+
+    // What a kill between a store's write and its rename leaves.
+    const fs::path orphan =
+        scratch.path / "0123456789abcdef-0-0.ncp.tmp.7";
+    std::ofstream(orphan, std::ios::binary) << "half a frame";
+    ASSERT_TRUE(fs::exists(orphan));
+
+    CompileDaemon d2(topo(), day(0), opts);
+    EXPECT_FALSE(fs::exists(orphan));
+    EXPECT_EQ(d2.stats().diskEntries, 1u);
+    EXPECT_EQ(submitAndWait(d2, circuit).cacheSource,
+              daemon::CacheSource::Disk);
 }
 
 TEST(Daemon, CorruptCacheEntryIsRejectedAndRecompiled)

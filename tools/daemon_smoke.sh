@@ -7,7 +7,9 @@
 #
 #   1. submit every Table-2 benchmark through naqc-client and diff
 #      the compiled QASM against one-shot naqc (bit-identity,
-#      modulo the leading // name comment),
+#      modulo the leading // name comment); `wait` and `status` on
+#      each finished job, whose program the daemon has released by
+#      then, must repeat the submit's result line,
 #   2. reload a second calibration day (zero-downtime rollover) and
 #      re-verify against one-shot naqc on that day,
 #   3. restart the daemon on the same cache directory and assert the
@@ -15,7 +17,9 @@
 #   4. submit malformed QASM inline and an out-of-range protocol
 #      value: each must get an err reply while the daemon keeps
 #      answering,
-#   5. clean shutdown.
+#   5. open and close 300 connections: the daemon's virtual size
+#      must not grow with them,
+#   6. clean shutdown.
 #
 # Usage: daemon_smoke.sh BUILD_DIR OUT_JSON
 
@@ -105,10 +109,29 @@ verify_bench() {
     return 0
 }
 
+# same_reply NAME: `wait` and `status` on NAME's finished job print
+# the result line its `submit --wait` got.
+same_reply() {
+    local name=$1 line id cmd
+    line=$(grep '^ok ' "$WORK/$name.result")
+    id=$(sed -n 's/^ok id=\([0-9]*\) .*/\1/p' <<< "$line")
+    for cmd in wait status; do
+        [ "$("$CLIENT" --socket "$SOCK" "$cmd" "$id" 2>&1)" = "$line" ] \
+            || fail "$name: '$cmd $id' differs from the submit reply"
+    done
+}
+
+# vm_size_kb: the daemon's VmSize from /proc.
+vm_size_kb() {
+    sed -n 's/^VmSize:[[:space:]]*\([0-9]*\) kB/\1/p' \
+        "/proc/$DAEMON_PID/status"
+}
+
 echo "== phase 1: cold daemon, day 0, bit-identity =="
 start_daemon || exit 1
 for b in "${BENCHES[@]}"; do
-    verify_bench "$b" 0 && IDENTICAL_D0=$((IDENTICAL_D0 + 1))
+    verify_bench "$b" 0 && IDENTICAL_D0=$((IDENTICAL_D0 + 1)) \
+        && same_reply "$b"
 done
 
 echo "== phase 2: zero-downtime rollover to day 1 =="
@@ -168,6 +191,18 @@ rc=$?
     || fail "deadline above UINT_MAX: exit $rc: $(cat "$WORK/deadline.result")"
 "$CLIENT" --socket "$SOCK" ping 2>&1 | grep -q "^ok pong" \
     || fail "daemon stopped answering after hostile input"
+
+echo "== phase 5: connection churn =="
+# Each finished connection's thread must be joined: an unjoined one
+# keeps its stack (8 MB of address space) mapped.
+VM_BEFORE=$(vm_size_kb)
+for _ in $(seq 1 300); do
+    "$CLIENT" --socket "$SOCK" ping > /dev/null 2>&1 \
+        || { fail "ping during connection churn"; break; }
+done
+VM_AFTER=$(vm_size_kb)
+[ $((VM_AFTER - VM_BEFORE)) -lt $((256 * 1024)) ] \
+    || fail "VmSize grew from $VM_BEFORE to $VM_AFTER kB over 300 connections"
 
 "$CLIENT" --socket "$SOCK" shutdown > /dev/null 2>&1 \
     || fail "final shutdown request"

@@ -32,13 +32,13 @@
 #include <fstream>
 #include <iostream>
 #include <limits>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -151,6 +151,8 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--warm-top") {
             cli.opts.warmTopK =
                 cli::parseIntFlag("--warm-top", need(i, "--warm-top"));
+            if (cli.opts.warmTopK < 0)
+                throw cli::UsageError("--warm-top must be >= 0");
         } else if (arg == "--help" || arg == "-h") {
             cli.help = true;
         } else {
@@ -192,6 +194,7 @@ std::string
 describeResult(const daemon::JobSnapshot &snap)
 {
     const service::CompileResult &r = snap.result;
+    const daemon::JobSummary &s = snap.summary;
     std::ostringstream oss;
     oss << "id=" << snap.id << " state="
         << daemon::jobStateName(snap.state)
@@ -203,21 +206,15 @@ describeResult(const daemon::JobSnapshot &snap)
         return oss.str();
     oss << " ok=" << (r.ok ? 1 : 0)
         << " status=" << compileStatusCodeName(r.status.code);
-    if (r.ok && r.program) {
-        oss << " swaps=" << r.program->swapCount
-            << " duration=" << r.program->duration
-            << " psuccess=" << r.program->predictedSuccess;
+    if (r.ok && s.hasProgram) {
+        oss << " swaps=" << s.swapCount << " duration=" << s.duration
+            << " psuccess=" << s.predictedSuccess;
     }
-    if (!r.portfolio.empty()) {
-        int cancelled = 0;
-        for (const PortfolioCandidate &c : r.portfolio)
-            if (c.cancelled)
-                ++cancelled;
+    if (s.raced > 0) {
         oss << " winner=" << (r.winner.empty()
                                   ? "-"
                                   : tokenSafe(r.winner))
-            << " raced=" << r.portfolio.size()
-            << " cancelled=" << cancelled;
+            << " raced=" << s.raced << " cancelled=" << s.cancelled;
     }
     if (!r.status.ok())
         oss << " error=" << tokenSafe(r.error());
@@ -258,7 +255,11 @@ statsLine(const daemon::DaemonStats &s)
         << " disk_verified=" << s.verifiedOnLoad
         << " disk_healed=" << s.healed
         << " disk_entries=" << s.diskEntries
-        << " warm_recompiles=" << s.warmRecompiles;
+        << " warm_recompiles=" << s.warmRecompiles
+        << " records=" << s.records
+        << " programs_held=" << s.programsHeld
+        << " hot_entries=" << s.hotEntries
+        << " tenants=" << s.tenants.size();
     return oss.str();
 }
 
@@ -330,16 +331,19 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
         return;
     }
 
+    // No reply carries an unwaited job's program, so the daemon drops
+    // it when the job finishes.
     const std::string tenant = req.get("tenant", "default");
+    const bool wait = req.getInt("wait", 0) != 0;
     const int num_clbits = circuit.numClbits();
     daemon::CompileDaemon::SubmitOutcome out = srv.daemon->submit(
-        tenant, lane, std::move(circuit), copts,
-        req.get("tag", "job"));
+        tenant, lane, std::move(circuit), copts, req.get("tag", "job"),
+        wait);
     if (!out.accepted) {
         ch.writeLine("err reason=" + tokenSafe(out.reason));
         return;
     }
-    if (req.getInt("wait", 0) == 0) {
+    if (!wait) {
         ch.writeLine("ok id=" + std::to_string(out.id));
         return;
     }
@@ -493,8 +497,21 @@ runServer(const DaemonCli &cli)
     std::cerr << "naqcd: listening on " << cli.socketPath << " ("
               << engine.numThreads() << " workers)\n";
 
-    std::vector<std::thread> connections;
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+    std::list<Connection> connections;
     while (!g_stop && !srv.exitRequested.load()) {
+        // Join the threads of connections that ended: an unjoined
+        // thread keeps its stack mapped.
+        connections.remove_if([](Connection &c) {
+            if (!c.done.load())
+                return false;
+            c.thread.join();
+            return true;
+        });
         pollfd pfd{};
         pfd.fd = listen_fd;
         pfd.events = POLLIN;
@@ -508,8 +525,11 @@ runServer(const DaemonCli &cli)
             std::lock_guard<std::mutex> lock(srv.connMu);
             srv.connFds.insert(fd);
         }
-        connections.emplace_back(
-            [&srv, fd] { serveConnection(srv, fd); });
+        Connection &conn = connections.emplace_back();
+        conn.thread = std::thread([&srv, &conn, fd] {
+            serveConnection(srv, fd);
+            conn.done.store(true);
+        });
     }
 
     // Graceful drain: stop admitting, let in-flight jobs finish,
@@ -523,9 +543,8 @@ runServer(const DaemonCli &cli)
         for (int fd : srv.connFds)
             ::shutdown(fd, SHUT_RDWR);
     }
-    for (std::thread &t : connections)
-        if (t.joinable())
-            t.join();
+    for (Connection &c : connections)
+        c.thread.join();
     ::unlink(cli.socketPath.c_str());
     std::cerr << "naqcd: bye\n";
     return 0;
