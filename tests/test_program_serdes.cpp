@@ -6,12 +6,16 @@
  * version — must be rejected, never misparsed.
  */
 
+#include <cstring>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "core/compiler.hpp"
 #include "daemon/program_serdes.hpp"
 #include "ir/qasm.hpp"
 #include "machine/calibration_model.hpp"
+#include "support/rng.hpp"
 #include "tests/test_util.hpp"
 #include "workloads/benchmarks.hpp"
 #include "workloads/random_circuits.hpp"
@@ -324,6 +328,147 @@ TEST(ProgramSerdes, SerializeDeserializeSerializeIsAFixpoint)
             EXPECT_EQ(daemon::serializeCompiledProgram(back), frame)
                 << g.topology << " " << mapperKindName(bundle);
         }
+    }
+}
+
+/** The frame of `payload` under `frame`'s magic and version, with its
+ *  size and checksum re-patched so the payload decoder sees it. */
+std::string
+reframed(const std::string &frame, const std::string &payload)
+{
+    std::string out = frame.substr(0, 8);
+    for (std::uint64_t v : {std::uint64_t(payload.size()),
+                            bytesHash(payload)})
+        for (int i = 0; i < 8; ++i)
+            out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+    return out + payload;
+}
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
+}
+
+/** expectIdentical, with doubles compared by bit pattern (NaN too). */
+void
+expectSameBits(const CompiledProgram &a, const CompiledProgram &b)
+{
+    EXPECT_EQ(a.mapperName, b.mapperName);
+    EXPECT_EQ(a.programName, b.programName);
+    EXPECT_EQ(a.layout, b.layout);
+    EXPECT_EQ(a.junctions, b.junctions);
+    EXPECT_TRUE(a.schedule.identicalTo(b.schedule));
+    EXPECT_EQ(a.duration, b.duration);
+    EXPECT_EQ(bitsOf(a.logReliability), bitsOf(b.logReliability));
+    EXPECT_EQ(bitsOf(a.predictedSuccess), bitsOf(b.predictedSuccess));
+    EXPECT_EQ(a.swapCount, b.swapCount);
+    EXPECT_EQ(bitsOf(a.compileSeconds), bitsOf(b.compileSeconds));
+    EXPECT_EQ(a.solverOptimal, b.solverOptimal);
+    EXPECT_EQ(a.solverStatus, b.solverStatus);
+    ASSERT_EQ(a.stageTraces.size(), b.stageTraces.size());
+    for (std::size_t i = 0; i < a.stageTraces.size(); ++i) {
+        EXPECT_EQ(a.stageTraces[i].stage, b.stageTraces[i].stage);
+        EXPECT_EQ(a.stageTraces[i].pass, b.stageTraces[i].pass);
+        EXPECT_EQ(bitsOf(a.stageTraces[i].seconds),
+                  bitsOf(b.stageTraces[i].seconds));
+        EXPECT_EQ(a.stageTraces[i].note, b.stageTraces[i].note);
+    }
+}
+
+/**
+ * The decoder's contract on any bytes: it rejects them, or the
+ * program it returns serializes to a frame that decodes back to the
+ * same program. Returns whether the bytes were accepted.
+ */
+bool
+rejectsOrRoundTrips(const std::string &bytes)
+{
+    CompiledProgram p;
+    if (!daemon::deserializeCompiledProgram(bytes, p))
+        return false;
+    const std::string again = daemon::serializeCompiledProgram(p);
+    CompiledProgram back;
+    EXPECT_TRUE(daemon::deserializeCompiledProgram(again, back));
+    expectSameBits(p, back);
+    return true;
+}
+
+TEST(ProgramSerdes, HostilePayloadsAreRejectedOrRoundTrip)
+{
+    // Frames of real heuristic programs, mutated by seeded byte
+    // flips, insertions and deletions behind a re-patched header: the
+    // checksum alone would reject nearly every mutant unread.
+    std::vector<std::string> frames;
+    for (const ByteGolden &g : {kByteGoldens[0], kByteGoldens[7]}) {
+        Topology topo = topologyFromSpec(g.topology);
+        CalibrationModel model(topo, test::kSeed);
+        auto machine =
+            std::make_shared<const Machine>(topo, model.forDay(g.day));
+        Circuit prog =
+            g.denseCnot
+                ? makeDenseCnotCircuit(g.qubits, g.gates, g.seed, 600)
+                : makeRandomCircuit({g.qubits, g.gates, g.seed, true});
+        for (MapperKind bundle : kHeuristicBundles) {
+            CompilerOptions opts;
+            opts.mapper = bundle;
+            PipelineResult r = standardPipeline(machine, opts).run(prog);
+            ASSERT_TRUE(r.ok()) << r.status.message;
+            frames.push_back(daemon::serializeCompiledProgram(r.program));
+        }
+    }
+
+    constexpr std::size_t kHeader = 24;
+    Rng rng(test::kSeed, "serdes-mutants");
+    int accepted = 0;
+    for (const std::string &frame : frames) {
+        for (int m = 0; m < 200; ++m) {
+            std::string payload = frame.substr(kHeader);
+            const int edits = rng.uniformInt(1, 4);
+            for (int e = 0; e < edits && !payload.empty(); ++e) {
+                const auto at = static_cast<std::size_t>(rng.uniformInt(
+                    0, static_cast<int>(payload.size()) - 1));
+                const char byte =
+                    static_cast<char>(rng.uniformInt(1, 255));
+                switch (rng.uniformInt(0, 2)) {
+                case 0:
+                    payload[at] = static_cast<char>(payload[at] ^ byte);
+                    break;
+                case 1:
+                    payload.insert(payload.begin() + at, byte);
+                    break;
+                default:
+                    payload.erase(at, 1);
+                    break;
+                }
+            }
+            SCOPED_TRACE("mutant " + std::to_string(m));
+            accepted += rejectsOrRoundTrips(reframed(frame, payload));
+        }
+    }
+    // Some mutants land in a double or a string and decode.
+    EXPECT_GT(accepted, 0);
+}
+
+TEST(ProgramSerdes, TruncatedPayloadsAreRejectedOrRoundTrip)
+{
+    GridTopology topo(2, 4);
+    auto machine = std::make_shared<const Machine>(
+        topo, test::uniformCalibration(topo));
+    CompilerOptions opts;
+    opts.mapper = MapperKind::GreedyE;
+    PipelineResult result = standardPipeline(machine, opts)
+                                .run(benchmarkByName("Toffoli").circuit);
+    ASSERT_TRUE(result.hasProgram);
+    const std::string frame =
+        daemon::serializeCompiledProgram(result.program);
+    const std::string payload = frame.substr(24);
+    for (std::size_t len = 0; len < payload.size(); ++len) {
+        SCOPED_TRACE("payload cut to " + std::to_string(len));
+        EXPECT_FALSE(
+            rejectsOrRoundTrips(reframed(frame, payload.substr(0, len))));
     }
 }
 
