@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <thread>
 
+#include "daemon/program_serdes.hpp"
 #include "service/fingerprints.hpp"
 #include "support/fingerprint.hpp"
 #include "support/logging.hpp"
@@ -284,26 +285,34 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
     bool healedEntry = false;
     service::JobHooks hooks;
     hooks.lookup = [&](service::CompileResult &hit) {
-        if (auto cached = memCache_.lookup(key)) {
-            hit.program = std::move(cached);
+        // Both tiers hold frames. A memory hit is decoded outside the
+        // cache's lock, and a frame that does not decode is never
+        // served: the job recompiles.
+        auto program = std::make_shared<CompiledProgram>();
+        if (auto frame = memCache_.lookup(key)) {
+            if (!deserializeCompiledProgram(*frame, *program))
+                return false;
             source = CacheSource::Memory;
         } else if (auto loaded = loadVerified(key, circuit,
-                                              *epoch->machine,
+                                              *epoch->machine, *program,
                                               verifiedOnLoad,
                                               healedEntry)) {
-            memCache_.insert(key, loaded);
-            hit.program = std::move(loaded);
+            memCache_.insert(key, loaded, loaded->size());
             source = CacheSource::Disk;
         } else {
             return false;
         }
+        hit.program = std::move(program);
         hit.machine = epoch->machine;
         return true;
     };
     hooks.machine = [&epoch] { return epoch->machine; };
     hooks.store = [&](const std::shared_ptr<const CompiledProgram> &p) {
-        memCache_.insert(key, p);
-        disk_.store(key, *p);
+        // Encoded once: the same bytes go to both tiers.
+        auto frame = std::make_shared<const std::string>(
+            serializeCompiledProgram(*p));
+        memCache_.insert(key, frame, frame->size());
+        disk_.storeFrame(key, *frame);
     };
 
     service::CompileResult result =
@@ -325,15 +334,16 @@ CompileDaemon::runJob(const std::shared_ptr<JobRecord> &record)
     finishLocked(*record);
 }
 
-std::shared_ptr<const CompiledProgram>
+std::shared_ptr<const std::string>
 CompileDaemon::loadVerified(const service::CacheKey &key,
                             const Circuit &circuit,
                             const Machine &machine,
+                            CompiledProgram &program,
                             bool &verifiedOnLoad, bool &healedEntry)
 {
-    auto loaded = disk_.load(key);
-    if (!loaded || !options_.verifyOnLoad)
-        return loaded;
+    auto frame = disk_.loadFrame(key, program);
+    if (!frame || !options_.verifyOnLoad)
+        return frame;
     // The frame checksum only proves the bytes round-tripped; the
     // translation validator proves the program still satisfies the
     // compiled-program contracts against *this* epoch's machine (the
@@ -341,10 +351,10 @@ CompileDaemon::loadVerified(const service::CacheKey &key,
     // the entry is broken, not merely stale). Auto durations: the
     // producing bundle's duration model is not recorded in the entry.
     const VerifyReport report =
-        ProgramVerifier(machine).verify(circuit, *loaded);
+        ProgramVerifier(machine).verify(circuit, program);
     if (report.ok()) {
         verifiedOnLoad = true;
-        return loaded;
+        return frame;
     }
     // Checksum-valid but semantically broken: purge the entry and
     // recompile — the fresh ok result re-stores, healing the slot.

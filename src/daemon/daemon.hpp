@@ -15,10 +15,12 @@
  *     everyone's queue.
  *
  *  2. **Persistent content-addressed cache** — results are cached in
- *     memory (service::CompileCache) and spilled to a cache
- *     directory (disk_cache.hpp) keyed by the same content
- *     fingerprints, so a restarted daemon serves the previous
- *     working set from disk instead of recompiling it.
+ *     memory as encoded NQCP frames (program_serdes.hpp, in a
+ *     service::LruCache) and spilled to a cache directory
+ *     (disk_cache.hpp) keyed by the same content fingerprints, so a
+ *     restarted daemon serves the previous working set from disk
+ *     instead of recompiling it. A cold compile encodes its frame
+ *     once for both tiers; a memory hit decodes it.
  *
  *  3. **Zero-downtime calibration rollover** — reload() builds the
  *     new machine snapshot off the worker path, atomically flips a
@@ -65,7 +67,7 @@ struct DaemonOptions
     int threads = 0;  ///< compile workers; <= 0 = hardware
     int shards = 0;   ///< queue shards; <= 0 = min(4, workers)
     std::size_t cacheCapacity = 4096;     ///< in-memory entries
-    std::size_t cacheByteCapacity = 0;    ///< in-memory bytes; 0 off
+    std::size_t cacheByteCapacity = 0;    ///< in-memory frame bytes; 0 off
     std::string cacheDir;                 ///< empty = no persistence
     std::uint64_t tenantQuota = 64; ///< max in-flight per tenant; 0 off
 
@@ -175,7 +177,7 @@ struct DaemonStats
     int epochId = 0;
     int epochDay = 0;
     QueueStats queue;
-    service::CompileCacheStats memCache;
+    service::CompileCacheStats memCache; ///< bytes: resident frames
     DiskCacheStats disk;
     std::size_t diskEntries = 0;
     std::size_t records = 0;      ///< job records retained
@@ -275,10 +277,11 @@ class CompileDaemon
 
     void pump(int home_shard);
     void runJob(const std::shared_ptr<JobRecord> &record);
-    std::shared_ptr<const CompiledProgram> loadVerified(
+    /** The verified disk frame for `key`, decoded into `program`. */
+    std::shared_ptr<const std::string> loadVerified(
         const service::CacheKey &key, const Circuit &circuit,
-        const Machine &machine, bool &verifiedOnLoad,
-        bool &healedEntry);
+        const Machine &machine, CompiledProgram &program,
+        bool &verifiedOnLoad, bool &healedEntry);
     void finishLocked(JobRecord &record);
     void noteHotUse(const Circuit &circuit,
                     const CompilerOptions &options,
@@ -293,7 +296,8 @@ class CompileDaemon
     std::shared_ptr<const Epoch> epoch_;
 
     ShardedSubmissionQueue queue_;
-    service::CompileCache memCache_;
+    /// Encoded frames, each counted at its exact size.
+    service::LruCache<std::shared_ptr<const std::string>> memCache_;
     DiskCacheStore disk_;
 
     mutable std::mutex jobsMu_;

@@ -87,8 +87,9 @@ DiskCacheStore::entryPath(const service::CacheKey &key) const
            hex16(key.calibration) + "-" + hex16(key.options) + ".ncp";
 }
 
-std::shared_ptr<const CompiledProgram>
-DiskCacheStore::load(const service::CacheKey &key)
+std::shared_ptr<const std::string>
+DiskCacheStore::loadFrame(const service::CacheKey &key,
+                          CompiledProgram &program)
 {
     if (!enabled())
         return nullptr;
@@ -100,8 +101,7 @@ DiskCacheStore::load(const service::CacheKey &key)
         return nullptr;
     }
 
-    auto program = std::make_shared<CompiledProgram>();
-    if (!deserializeCompiledProgram(bytes, *program)) {
+    if (!deserializeCompiledProgram(bytes, program)) {
         // Corrupt/stale entry: drop it so a later store can heal the
         // slot, and report a miss — the caller recompiles.
         std::error_code ec;
@@ -110,8 +110,19 @@ DiskCacheStore::load(const service::CacheKey &key)
         ++stats_.corruptRejected;
         return nullptr;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.loads;
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        ++stats_.loads;
+    }
+    return std::make_shared<const std::string>(std::move(bytes));
+}
+
+std::shared_ptr<const CompiledProgram>
+DiskCacheStore::load(const service::CacheKey &key)
+{
+    auto program = std::make_shared<CompiledProgram>();
+    if (!loadFrame(key, *program))
+        return nullptr;
     return program;
 }
 
@@ -128,9 +139,15 @@ bool
 DiskCacheStore::store(const service::CacheKey &key,
                       const CompiledProgram &program)
 {
+    return enabled() && storeFrame(key, serializeCompiledProgram(program));
+}
+
+bool
+DiskCacheStore::storeFrame(const service::CacheKey &key,
+                           const std::string &frame)
+{
     if (!enabled())
         return false;
-    const std::string bytes = serializeCompiledProgram(program);
     const std::string path = entryPath(key);
 
     std::uint64_t serial = 0;
@@ -147,9 +164,9 @@ DiskCacheStore::store(const service::CacheKey &key,
     {
         std::ofstream out(temp,
                           std::ios::binary | std::ios::trunc);
-        ok = static_cast<bool>(out.write(bytes.data(),
+        ok = static_cast<bool>(out.write(frame.data(),
                                          static_cast<std::streamsize>(
-                                             bytes.size())));
+                                             frame.size())));
         ok = ok && static_cast<bool>(out.flush());
     }
     if (ok) {
@@ -164,7 +181,7 @@ DiskCacheStore::store(const service::CacheKey &key,
     std::lock_guard<std::mutex> lock(mu_);
     if (ok) {
         ++stats_.stores;
-        stats_.bytesWritten += bytes.size();
+        stats_.bytesWritten += frame.size();
     } else {
         ++stats_.storeFailures;
     }

@@ -11,7 +11,7 @@
  * fingerprints).
  *
  * Entries are framed by program_serdes.hpp (versioned header +
- * FNV self-checksum). load() verifies the frame before returning;
+ * FNV self-checksum). A load verifies the frame before returning;
  * anything corrupt, truncated or written by an older format version
  * is counted, unlinked, and treated as a miss — a damaged cache
  * costs a recompile, never a wrong answer or a crash.
@@ -37,7 +37,7 @@ struct DiskCacheStats
     std::uint64_t corruptRejected = 0; ///< bad frame/version/checksum
     std::uint64_t stores = 0;        ///< entries written
     std::uint64_t storeFailures = 0; ///< I/O errors while writing
-    std::uint64_t bytesWritten = 0;  ///< total blob bytes stored
+    std::uint64_t bytesWritten = 0;  ///< total frame bytes stored
 };
 
 /**
@@ -65,14 +65,26 @@ class DiskCacheStore
     std::string entryPath(const service::CacheKey &key) const;
 
     /**
-     * Load and validate the entry for `key`; null on miss or when
+     * Load and validate the entry for `key`, decoding its program into
+     * `program`, and return the frame it decoded. Null on miss or when
      * the file fails frame validation (the bad file is unlinked so
      * the next store can heal it).
      */
+    std::shared_ptr<const std::string>
+    loadFrame(const service::CacheKey &key, CompiledProgram &program);
+
+    /** loadFrame()'s program alone; null on a miss. */
     std::shared_ptr<const CompiledProgram>
     load(const service::CacheKey &key);
 
-    /** Persist an entry (write temp file + atomic rename). */
+    /**
+     * Persist an entry's frame, as serializeCompiledProgram() wrote
+     * it (write temp file + atomic rename).
+     */
+    bool storeFrame(const service::CacheKey &key,
+                    const std::string &frame);
+
+    /** storeFrame() of the program's frame. */
     bool store(const service::CacheKey &key,
                const CompiledProgram &program);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "support/fingerprint.hpp"
 
@@ -13,10 +14,38 @@ constexpr char kMagic[4] = {'N', 'Q', 'C', 'P'};
 
 /** @name Frame header layout: magic, u32 version, u64 size, u64 checksum.
  *  @{ */
-constexpr std::size_t kSizeOffset = sizeof(kMagic) + 4;
+constexpr std::size_t kVersionOffset = sizeof(kMagic);
+constexpr std::size_t kSizeOffset = kVersionOffset + 4;
 constexpr std::size_t kChecksumOffset = kSizeOffset + 8;
 constexpr std::size_t kHeaderSize = kChecksumOffset + 8;
 /** @} */
+
+/** Longest LEB128 encoding of a 64-bit value. */
+constexpr std::size_t kMaxVarintBytes = 10;
+
+/** A TimedOp's tag byte: its op, and isRouteSwap in the high bit. */
+constexpr std::uint8_t kRouteSwapBit = 0x80;
+
+/** @name Fewest bytes an element encodes to: the cap on its count.
+ *  @{ */
+constexpr std::size_t kMinIntBytes = 1;
+constexpr std::size_t kMinOpBytes = 7;     ///< tag + six varints
+constexpr std::size_t kMinMacroBytes = 3;  ///< three varints
+constexpr std::size_t kMinTraceBytes = 11; ///< three lengths + a double
+/** @} */
+
+/** Zigzag: small magnitudes of either sign become small values. */
+std::uint64_t
+zigzag(std::uint64_t v)
+{
+    return (v << 1) ^ (0 - (v >> 63));
+}
+
+std::uint64_t
+unzigzag(std::uint64_t z)
+{
+    return (z >> 1) ^ (0 - (z & 1));
+}
 
 /** Store `v` little-endian in the sizeof(T) bytes at `at`. */
 template <typename T>
@@ -27,9 +56,20 @@ storeLittleEndian(char *at, T v)
         at[i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
+/** The little-endian T in the sizeof(T) bytes at `at`. */
+template <typename T>
+T
+loadLittleEndian(const char *at)
+{
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+        v |= static_cast<T>(static_cast<unsigned char>(at[i])) << (8 * i);
+    return v;
+}
+
 /**
- * Little-endian byte sink: writes through a cursor into a buffer that
- * grows geometrically, and can patch bytes it already wrote.
+ * Byte sink: writes through a cursor into a buffer that grows
+ * geometrically, and can patch bytes it already wrote.
  */
 class ByteWriter
 {
@@ -39,37 +79,50 @@ class ByteWriter
     void
     putBytes(const char *data, std::size_t n)
     {
-        std::memcpy(claim(n), data, n);
+        std::memcpy(room(n), data, n);
+        size_ += n;
     }
 
     void
     putU8(std::uint8_t v)
     {
-        *claim(1) = static_cast<char>(v);
+        *room(1) = static_cast<char>(v);
+        ++size_;
+    }
+
+    /** Little-endian, in sizeof(T) bytes. */
+    template <typename T>
+    void
+    putFixed(T v)
+    {
+        storeLittleEndian(room(sizeof(T)), v);
+        size_ += sizeof(T);
+    }
+
+    /** LEB128: seven bits a byte, low bits first. */
+    void
+    putVarint(std::uint64_t v)
+    {
+        char *at = room(kMaxVarintBytes);
+        std::size_t n = 0;
+        for (; v >= 0x80; v >>= 7)
+            at[n++] = static_cast<char>(v | 0x80);
+        at[n++] = static_cast<char>(v);
+        size_ += n;
     }
 
     void
-    putU32(std::uint32_t v)
+    putSigned(std::int64_t v)
     {
-        storeLittleEndian(claim(4), v);
+        putVarint(zigzag(static_cast<std::uint64_t>(v)));
     }
 
+    /** `v` as its difference from `prev`, in wrapping arithmetic. */
     void
-    putU64(std::uint64_t v)
+    putDelta(std::int64_t prev, std::int64_t v)
     {
-        storeLittleEndian(claim(8), v);
-    }
-
-    void
-    putI32(std::int32_t v)
-    {
-        putU32(static_cast<std::uint32_t>(v));
-    }
-
-    void
-    putI64(std::int64_t v)
-    {
-        putU64(static_cast<std::uint64_t>(v));
+        putVarint(zigzag(static_cast<std::uint64_t>(v) -
+                         static_cast<std::uint64_t>(prev)));
     }
 
     void
@@ -77,13 +130,13 @@ class ByteWriter
     {
         std::uint64_t bits = 0;
         std::memcpy(&bits, &v, sizeof(bits));
-        putU64(bits);
+        putFixed(bits);
     }
 
     void
     putString(const std::string &s)
     {
-        putU64(s.size());
+        putVarint(s.size());
         putBytes(s.data(), s.size());
     }
 
@@ -97,30 +150,30 @@ class ByteWriter
     const char *data() const { return bytes_.data(); }
     std::size_t size() const { return size_; }
 
-    std::string
-    take()
-    {
-        bytes_.resize(size_);
-        return std::move(bytes_);
-    }
+    /**
+     * The bytes written, allocated at exactly their size: a frame may
+     * live long in a cache, and the buffer is sized for a worst case.
+     */
+    std::string take() const { return std::string(bytes_.data(), size_); }
 
   private:
     /** The next `n` bytes of the buffer, doubling it if they do not fit. */
     char *
-    claim(std::size_t n)
+    room(std::size_t n)
     {
         if (n > bytes_.size() - size_)
             bytes_.resize(std::max(2 * bytes_.size(), size_ + n));
-        char *at = bytes_.data() + size_;
-        size_ += n;
-        return at;
+        return bytes_.data() + size_;
     }
 
     std::string bytes_;
     std::size_t size_ = 0;
 };
 
-/** Bounds-checked little-endian reader; every get reports success. */
+/**
+ * Bounds-checked reader of what ByteWriter writes; every get reports
+ * success, and rejects a value its field cannot hold.
+ */
 class ByteReader
 {
   public:
@@ -132,67 +185,81 @@ class ByteReader
     bool
     getU8(std::uint8_t &v)
     {
-        if (pos_ + 1 > size_)
+        if (pos_ == size_)
             return false;
         v = static_cast<std::uint8_t>(data_[pos_++]);
         return true;
     }
 
+    /** LEB128 of at most 10 bytes whose value fits in 64 bits. */
     bool
-    getU32(std::uint32_t &v)
+    getVarint(std::uint64_t &v)
     {
-        if (pos_ + 4 > size_)
-            return false;
         v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(data_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 4;
+        for (unsigned shift = 0; shift < 64; shift += 7) {
+            if (pos_ == size_)
+                return false;
+            const auto byte = static_cast<std::uint8_t>(data_[pos_++]);
+            const std::uint64_t bits = byte & 0x7f;
+            if (shift == 63 && bits > 1)
+                return false; // bits past the 64th
+            v |= bits << shift;
+            if (!(byte & 0x80))
+                return true;
+        }
+        return false; // an eleventh byte would follow
+    }
+
+    bool
+    getSigned(std::int64_t &v)
+    {
+        std::uint64_t z = 0;
+        if (!getVarint(z))
+            return false;
+        v = static_cast<std::int64_t>(unzigzag(z));
         return true;
     }
 
     bool
-    getU64(std::uint64_t &v)
+    getInt(int &v)
     {
-        if (pos_ + 8 > size_)
+        std::int64_t wide = 0;
+        if (!getSigned(wide) || !fitsInt(wide))
             return false;
-        v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(data_[pos_ + i]))
-                 << (8 * i);
-        pos_ += 8;
+        v = static_cast<int>(wide);
+        return true;
+    }
+
+    /** `prev` plus a stored difference, in wrapping arithmetic. */
+    bool
+    getDelta(std::int64_t prev, std::int64_t &v)
+    {
+        std::uint64_t z = 0;
+        if (!getVarint(z))
+            return false;
+        v = static_cast<std::int64_t>(static_cast<std::uint64_t>(prev) +
+                                      unzigzag(z));
         return true;
     }
 
     bool
-    getI32(std::int32_t &v)
+    getIntDelta(int prev, int &v)
     {
-        std::uint32_t u = 0;
-        if (!getU32(u))
+        std::int64_t wide = 0;
+        if (!getDelta(prev, wide) || !fitsInt(wide))
             return false;
-        v = static_cast<std::int32_t>(u);
-        return true;
-    }
-
-    bool
-    getI64(std::int64_t &v)
-    {
-        std::uint64_t u = 0;
-        if (!getU64(u))
-            return false;
-        v = static_cast<std::int64_t>(u);
+        v = static_cast<int>(wide);
         return true;
     }
 
     bool
     getDouble(double &v)
     {
-        std::uint64_t bits = 0;
-        if (!getU64(bits))
+        if (size_ - pos_ < 8)
             return false;
+        const auto bits = loadLittleEndian<std::uint64_t>(data_ + pos_);
         std::memcpy(&v, &bits, sizeof(v));
+        pos_ += 8;
         return true;
     }
 
@@ -200,23 +267,26 @@ class ByteReader
     getString(std::string &s)
     {
         std::uint64_t n = 0;
-        if (!getU64(n) || n > size_ - pos_)
+        if (!getVarint(n) || n > size_ - pos_)
             return false;
         s.assign(data_ + pos_, static_cast<std::size_t>(n));
         pos_ += static_cast<std::size_t>(n);
         return true;
     }
 
-    /** Element count prefix, sanity-capped against remaining bytes. */
+    /**
+     * An element count, rejected when the bytes left cannot hold that
+     * many elements of `min_elem_bytes` each: every resize stays a
+     * small multiple of the frame.
+     */
     bool
-    getCount(std::uint64_t &n, std::size_t min_elem_bytes)
+    getCount(std::size_t &n, std::size_t min_elem_bytes)
     {
-        if (!getU64(n))
+        std::uint64_t count = 0;
+        if (!getVarint(count) || count > (size_ - pos_) / min_elem_bytes)
             return false;
-        // A count implying more elements than bytes left is corrupt;
-        // rejecting it here keeps reserve() calls from exploding.
-        return min_elem_bytes == 0 ||
-               n <= (size_ - pos_) / min_elem_bytes;
+        n = static_cast<std::size_t>(count);
+        return true;
     }
 
     bool
@@ -226,38 +296,26 @@ class ByteReader
     }
 
   private:
+    static bool
+    fitsInt(std::int64_t v)
+    {
+        return v >= std::numeric_limits<int>::min() &&
+               v <= std::numeric_limits<int>::max();
+    }
+
     const char *data_;
     std::size_t size_;
     std::size_t pos_ = 0;
 };
 
-void
-putGate(ByteWriter &w, const Gate &g)
-{
-    w.putU8(static_cast<std::uint8_t>(g.op));
-    w.putI32(g.q0);
-    w.putI32(g.q1);
-    w.putI32(g.cbit);
-}
-
-bool
-getGate(ByteReader &r, Gate &g)
-{
-    std::uint8_t op = 0;
-    if (!r.getU8(op) || op > static_cast<std::uint8_t>(Op::Measure))
-        return false;
-    g.op = static_cast<Op>(op);
-    return r.getI32(g.q0) && r.getI32(g.q1) && r.getI32(g.cbit);
-}
-
-/** Payload bytes of a program: its arrays, plus slack for the rest. */
+/** Payload bytes of a program: a little over what it usually takes. */
 std::size_t
 payloadSizeHint(const CompiledProgram &p)
 {
     const Schedule &s = p.schedule;
-    return 1024 + 4 * (p.layout.size() + p.junctions.size()) +
-           34 * s.ops.size() + 20 * s.macros.size() +
-           8 * s.qubitFinish.size();
+    return 256 + 2 * (p.layout.size() + p.junctions.size()) +
+           12 * s.ops.size() + 6 * s.macros.size() +
+           4 * s.qubitFinish.size();
 }
 
 void
@@ -266,43 +324,55 @@ putPayload(ByteWriter &w, const CompiledProgram &p)
     w.putString(p.mapperName);
     w.putString(p.programName);
 
-    w.putU64(p.layout.size());
+    w.putVarint(p.layout.size());
     for (HwQubit h : p.layout)
-        w.putI32(h);
-    w.putU64(p.junctions.size());
+        w.putSigned(h);
+    w.putVarint(p.junctions.size());
     for (int j : p.junctions)
-        w.putI32(j);
+        w.putSigned(j);
 
     const Schedule &s = p.schedule;
-    w.putI32(s.numHwQubits);
-    w.putU64(s.ops.size());
+    w.putSigned(s.numHwQubits);
+    w.putVarint(s.ops.size());
+    Timeslot start = 0;
+    int prog_gate = 0;
     for (const TimedOp &op : s.ops) {
-        putGate(w, op.gate);
-        w.putI64(op.start);
-        w.putI64(op.duration);
-        w.putI32(op.progGate);
-        w.putU8(op.isRouteSwap ? 1 : 0);
+        w.putU8(static_cast<std::uint8_t>(
+            static_cast<std::uint8_t>(op.gate.op) |
+            (op.isRouteSwap ? kRouteSwapBit : 0)));
+        w.putSigned(op.gate.q0);
+        w.putSigned(op.gate.q1);
+        w.putSigned(op.gate.cbit);
+        w.putDelta(start, op.start);
+        w.putSigned(op.duration);
+        w.putDelta(prog_gate, op.progGate);
+        start = op.start;
+        prog_gate = op.progGate;
     }
-    w.putU64(s.macros.size());
+    w.putVarint(s.macros.size());
+    start = 0;
+    prog_gate = 0;
     for (const MacroTiming &m : s.macros) {
-        w.putI32(m.progGate);
-        w.putI64(m.start);
-        w.putI64(m.duration);
+        w.putDelta(prog_gate, m.progGate);
+        w.putDelta(start, m.start);
+        w.putSigned(m.duration);
+        start = m.start;
+        prog_gate = m.progGate;
     }
-    w.putI64(s.makespan);
-    w.putU64(s.qubitFinish.size());
+    w.putSigned(s.makespan);
+    w.putVarint(s.qubitFinish.size());
     for (Timeslot t : s.qubitFinish)
-        w.putI64(t);
+        w.putSigned(t);
 
-    w.putI64(p.duration);
+    w.putSigned(p.duration);
     w.putDouble(p.logReliability);
     w.putDouble(p.predictedSuccess);
-    w.putI32(p.swapCount);
+    w.putSigned(p.swapCount);
     w.putDouble(p.compileSeconds);
     w.putU8(p.solverOptimal ? 1 : 0);
     w.putString(p.solverStatus);
 
-    w.putU64(p.stageTraces.size());
+    w.putVarint(p.stageTraces.size());
     for (const StageTrace &t : p.stageTraces) {
         w.putString(t.stage);
         w.putString(t.pass);
@@ -316,60 +386,74 @@ deserializePayload(const char *data, std::size_t size,
                    CompiledProgram &p)
 {
     ByteReader r(data, size);
-    if (!r.getString(p.mapperName) || !r.getString(p.programName))
+    std::size_t n = 0;
+    if (!r.getString(p.mapperName) || !r.getString(p.programName) ||
+        !r.getCount(n, kMinIntBytes))
         return false;
-
-    std::uint64_t n = 0;
-    if (!r.getCount(n, 4))
-        return false;
-    p.layout.resize(static_cast<std::size_t>(n));
+    p.layout.resize(n);
     for (HwQubit &h : p.layout)
-        if (!r.getI32(h))
+        if (!r.getInt(h))
             return false;
-    if (!r.getCount(n, 4))
+    if (!r.getCount(n, kMinIntBytes))
         return false;
-    p.junctions.resize(static_cast<std::size_t>(n));
+    p.junctions.resize(n);
     for (int &j : p.junctions)
-        if (!r.getI32(j))
+        if (!r.getInt(j))
             return false;
 
     Schedule &s = p.schedule;
-    if (!r.getI32(s.numHwQubits) || !r.getCount(n, 30))
+    if (!r.getInt(s.numHwQubits) || !r.getCount(n, kMinOpBytes))
         return false;
-    s.ops.resize(static_cast<std::size_t>(n));
+    s.ops.resize(n);
+    Timeslot start = 0;
+    int prog_gate = 0;
     for (TimedOp &op : s.ops) {
-        std::uint8_t swap_flag = 0;
-        if (!getGate(r, op.gate) || !r.getI64(op.start) ||
-            !r.getI64(op.duration) || !r.getI32(op.progGate) ||
-            !r.getU8(swap_flag))
+        std::uint8_t tag = 0;
+        if (!r.getU8(tag))
             return false;
-        op.isRouteSwap = swap_flag != 0;
+        const auto code = static_cast<std::uint8_t>(tag & ~kRouteSwapBit);
+        if (code > static_cast<std::uint8_t>(Op::Measure))
+            return false;
+        op.gate.op = static_cast<Op>(code);
+        op.isRouteSwap = (tag & kRouteSwapBit) != 0;
+        if (!r.getInt(op.gate.q0) || !r.getInt(op.gate.q1) ||
+            !r.getInt(op.gate.cbit) || !r.getDelta(start, op.start) ||
+            !r.getSigned(op.duration) ||
+            !r.getIntDelta(prog_gate, op.progGate))
+            return false;
+        start = op.start;
+        prog_gate = op.progGate;
     }
-    if (!r.getCount(n, 20))
+    if (!r.getCount(n, kMinMacroBytes))
         return false;
-    s.macros.resize(static_cast<std::size_t>(n));
-    for (MacroTiming &m : s.macros)
-        if (!r.getI32(m.progGate) || !r.getI64(m.start) ||
-            !r.getI64(m.duration))
+    s.macros.resize(n);
+    start = 0;
+    prog_gate = 0;
+    for (MacroTiming &m : s.macros) {
+        if (!r.getIntDelta(prog_gate, m.progGate) ||
+            !r.getDelta(start, m.start) || !r.getSigned(m.duration))
             return false;
-    if (!r.getI64(s.makespan) || !r.getCount(n, 8))
+        start = m.start;
+        prog_gate = m.progGate;
+    }
+    if (!r.getSigned(s.makespan) || !r.getCount(n, kMinIntBytes))
         return false;
-    s.qubitFinish.resize(static_cast<std::size_t>(n));
+    s.qubitFinish.resize(n);
     for (Timeslot &t : s.qubitFinish)
-        if (!r.getI64(t))
+        if (!r.getSigned(t))
             return false;
 
     std::uint8_t optimal = 0;
-    if (!r.getI64(p.duration) || !r.getDouble(p.logReliability) ||
-        !r.getDouble(p.predictedSuccess) || !r.getI32(p.swapCount) ||
+    if (!r.getSigned(p.duration) || !r.getDouble(p.logReliability) ||
+        !r.getDouble(p.predictedSuccess) || !r.getInt(p.swapCount) ||
         !r.getDouble(p.compileSeconds) || !r.getU8(optimal) ||
-        !r.getString(p.solverStatus))
+        optimal > 1 || !r.getString(p.solverStatus))
         return false;
     p.solverOptimal = optimal != 0;
 
-    if (!r.getCount(n, 28))
+    if (!r.getCount(n, kMinTraceBytes))
         return false;
-    p.stageTraces.resize(static_cast<std::size_t>(n));
+    p.stageTraces.resize(n);
     for (StageTrace &t : p.stageTraces)
         if (!r.getString(t.stage) || !r.getString(t.pass) ||
             !r.getDouble(t.seconds) || !r.getString(t.note))
@@ -386,9 +470,9 @@ serializeCompiledProgram(const CompiledProgram &program)
     // are patched in once the payload is written behind it.
     ByteWriter w(kHeaderSize + payloadSizeHint(program));
     w.putBytes(kMagic, sizeof(kMagic));
-    w.putU32(kProgramSerdesVersion);
-    w.putU64(0);
-    w.putU64(0);
+    w.putFixed(kProgramSerdesVersion);
+    w.putFixed(std::uint64_t{0});
+    w.putFixed(std::uint64_t{0});
     putPayload(w, program);
     const std::size_t payload_size = w.size() - kHeaderSize;
     Fingerprint fp;
@@ -402,28 +486,20 @@ bool
 deserializeCompiledProgram(const std::string &bytes,
                            CompiledProgram &out)
 {
-    if (bytes.size() < kHeaderSize)
+    const char *at = bytes.data();
+    if (bytes.size() < kHeaderSize ||
+        std::memcmp(at, kMagic, sizeof(kMagic)) != 0 ||
+        loadLittleEndian<std::uint32_t>(at + kVersionOffset) !=
+            kProgramSerdesVersion)
         return false;
-    if (std::memcmp(bytes.data(), kMagic, sizeof(kMagic)) != 0)
+    const std::size_t payload_size = bytes.size() - kHeaderSize;
+    if (loadLittleEndian<std::uint64_t>(at + kSizeOffset) != payload_size)
         return false;
-    ByteReader r(bytes.data() + sizeof(kMagic),
-                 bytes.size() - sizeof(kMagic));
-    std::uint32_t version = 0;
-    std::uint64_t payload_size = 0;
-    std::uint64_t checksum = 0;
-    if (!r.getU32(version) || version != kProgramSerdesVersion)
-        return false;
-    if (!r.getU64(payload_size) || !r.getU64(checksum))
-        return false;
-    if (bytes.size() != kHeaderSize + payload_size)
-        return false;
-    const char *payload = bytes.data() + kHeaderSize;
     Fingerprint fp;
-    fp.mixBytes(payload, static_cast<std::size_t>(payload_size));
-    if (fp.value() != checksum)
+    fp.mixBytes(at + kHeaderSize, payload_size);
+    if (fp.value() != loadLittleEndian<std::uint64_t>(at + kChecksumOffset))
         return false;
-    return deserializePayload(
-        payload, static_cast<std::size_t>(payload_size), out);
+    return deserializePayload(at + kHeaderSize, payload_size, out);
 }
 
 } // namespace qc::daemon

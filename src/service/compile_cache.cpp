@@ -19,14 +19,15 @@ approxProgramBytes(const CompiledProgram &program)
     return n;
 }
 
-CompileCache::CompileCache(std::size_t capacity,
-                           std::size_t byteCapacity)
+template <typename Value>
+LruCache<Value>::LruCache(std::size_t capacity, std::size_t byteCapacity)
     : capacity_(capacity), byteCapacity_(byteCapacity)
 {
 }
 
-std::shared_ptr<const CompiledProgram>
-CompileCache::lookup(const CacheKey &key)
+template <typename Value>
+Value
+LruCache<Value>::lookup(const CacheKey &key)
 {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = map_.find(key);
@@ -36,37 +37,37 @@ CompileCache::lookup(const CacheKey &key)
     }
     ++stats_.hits;
     lru_.splice(lru_.begin(), lru_, it->second); // promote to MRU
-    return it->second->program;
+    return it->second->value;
 }
 
+template <typename Value>
 void
-CompileCache::insert(const CacheKey &key,
-                     std::shared_ptr<const CompiledProgram> program)
+LruCache<Value>::insert(const CacheKey &key, Value value,
+                        std::size_t bytes)
 {
     if (capacity_ == 0)
         return;
-    const std::size_t entry_bytes =
-        program ? approxProgramBytes(*program) : 0;
     std::lock_guard<std::mutex> lock(mu_);
     ++stats_.insertions;
     auto it = map_.find(key);
     if (it != map_.end()) {
         bytes_ -= it->second->bytes;
-        bytes_ += entry_bytes;
-        it->second->program = std::move(program);
-        it->second->bytes = entry_bytes;
+        bytes_ += bytes;
+        it->second->value = std::move(value);
+        it->second->bytes = bytes;
         lru_.splice(lru_.begin(), lru_, it->second);
         evictLocked();
         return;
     }
-    lru_.push_front(Entry{key, std::move(program), entry_bytes});
+    lru_.push_front(Entry{key, std::move(value), bytes});
     map_[key] = lru_.begin();
-    bytes_ += entry_bytes;
+    bytes_ += bytes;
     evictLocked();
 }
 
+template <typename Value>
 void
-CompileCache::evictLocked()
+LruCache<Value>::evictLocked()
 {
     while (map_.size() > capacity_ ||
            (byteCapacity_ > 0 && bytes_ > byteCapacity_ &&
@@ -78,22 +79,25 @@ CompileCache::evictLocked()
     }
 }
 
+template <typename Value>
 std::size_t
-CompileCache::size() const
+LruCache<Value>::size() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return map_.size();
 }
 
+template <typename Value>
 std::size_t
-CompileCache::sizeBytes() const
+LruCache<Value>::sizeBytes() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     return bytes_;
 }
 
+template <typename Value>
 CompileCacheStats
-CompileCache::stats() const
+LruCache<Value>::stats() const
 {
     std::lock_guard<std::mutex> lock(mu_);
     CompileCacheStats s = stats_;
@@ -102,13 +106,26 @@ CompileCache::stats() const
     return s;
 }
 
+template <typename Value>
 void
-CompileCache::clear()
+LruCache<Value>::clear()
 {
     std::lock_guard<std::mutex> lock(mu_);
     lru_.clear();
     map_.clear();
     bytes_ = 0;
 }
+
+void
+CompileCache::insert(const CacheKey &key,
+                     std::shared_ptr<const CompiledProgram> program)
+{
+    const std::size_t bytes = program ? approxProgramBytes(*program) : 0;
+    LruCache::insert(key, std::move(program), bytes);
+}
+
+template class LruCache<std::shared_ptr<const CompiledProgram>>;
+/// The daemon's memory tier: encoded program frames.
+template class LruCache<std::shared_ptr<const std::string>>;
 
 } // namespace qc::service

@@ -17,6 +17,7 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -84,36 +85,36 @@ struct CompileCacheStats
 std::size_t approxProgramBytes(const CompiledProgram &program);
 
 /**
- * Thread-safe LRU map: CacheKey -> shared immutable CompiledProgram.
+ * Thread-safe LRU map: CacheKey -> Value, a shared pointer to an
+ * immutable entry, counted at the byte size insert() is given.
  *
  * Two capacity axes: `capacity` bounds entry count, `byteCapacity`
- * (0 = unbounded) bounds the approximate resident bytes — the
- * daemon's long-lived cache uses it so a parade of huge schedules
- * cannot grow the heap without bound. Either bound evicts from the
- * LRU tail. Capacity 0 disables caching entirely: lookups miss,
- * inserts drop.
+ * (0 = unbounded) bounds the resident bytes — the daemon's
+ * long-lived cache uses it so a parade of huge schedules cannot grow
+ * the heap without bound. Either bound evicts from the LRU tail.
+ * Capacity 0 disables caching entirely: lookups miss, inserts drop.
  */
-class CompileCache
+template <typename Value>
+class LruCache
 {
   public:
-    explicit CompileCache(std::size_t capacity = 1024,
-                          std::size_t byteCapacity = 0);
+    explicit LruCache(std::size_t capacity = 1024,
+                      std::size_t byteCapacity = 0);
 
     /** Fetch and promote to most-recently-used; null on miss. */
-    std::shared_ptr<const CompiledProgram> lookup(const CacheKey &key);
+    Value lookup(const CacheKey &key);
 
     /**
-     * Insert (or refresh) an entry, evicting the least recently used
-     * entry when over capacity.
+     * Insert (or refresh) an entry of `bytes` bytes, evicting the
+     * least recently used entry when over capacity.
      */
-    void insert(const CacheKey &key,
-                std::shared_ptr<const CompiledProgram> program);
+    void insert(const CacheKey &key, Value value, std::size_t bytes);
 
     std::size_t size() const;
     std::size_t capacity() const { return capacity_; }
     std::size_t byteCapacity() const { return byteCapacity_; }
 
-    /** Approximate bytes held by resident entries. */
+    /** Bytes held by resident entries, as insert() counted them. */
     std::size_t sizeBytes() const;
 
     CompileCacheStats stats() const;
@@ -123,7 +124,7 @@ class CompileCache
     struct Entry
     {
         CacheKey key;
-        std::shared_ptr<const CompiledProgram> program;
+        Value value;
         std::size_t bytes = 0;
     };
     using LruList = std::list<Entry>;
@@ -135,10 +136,28 @@ class CompileCache
     const std::size_t byteCapacity_;
     mutable std::mutex mu_;
     LruList lru_; ///< front = most recently used
-    std::unordered_map<CacheKey, LruList::iterator, CacheKeyHash> map_;
+    std::unordered_map<CacheKey, typename LruList::iterator, CacheKeyHash>
+        map_;
     std::size_t bytes_ = 0; ///< sum of resident entry sizes
     CompileCacheStats stats_;
 };
+
+/** LRU of shared compiled programs, each counted at approxProgramBytes(). */
+class CompileCache : public LruCache<std::shared_ptr<const CompiledProgram>>
+{
+  public:
+    using LruCache::LruCache;
+
+    /**
+     * Insert (or refresh) an entry, evicting the least recently used
+     * entry when over capacity.
+     */
+    void insert(const CacheKey &key,
+                std::shared_ptr<const CompiledProgram> program);
+};
+
+extern template class LruCache<std::shared_ptr<const CompiledProgram>>;
+extern template class LruCache<std::shared_ptr<const std::string>>;
 
 } // namespace qc::service
 

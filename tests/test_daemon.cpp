@@ -332,9 +332,30 @@ TEST(Daemon, RepeatSubmitHitsMemoryCache)
     JobSnapshot second = submitAndWait(d, circuit, "t1");
     EXPECT_EQ(second.cacheSource, daemon::CacheSource::Memory);
     EXPECT_TRUE(second.result.cacheHit);
-    // Cached artifact is the same object, not a recompile.
-    EXPECT_EQ(second.result.program.get(),
-              first.result.program.get());
+    // The cached frame decodes to the first job's program, compile
+    // and stage timings included, bit for bit: not a recompile.
+    EXPECT_EQ(daemon::serializeCompiledProgram(*second.result.program),
+              daemon::serializeCompiledProgram(*first.result.program));
+}
+
+TEST(Daemon, MemoryTierCountsExactFrameBytes)
+{
+    CompileDaemon d(topo(), day(0), fastOptions());
+    std::size_t frame_bytes = 0;
+    for (int i = 0; i < 6; ++i) {
+        JobSnapshot snap = submitAndWait(d, variant(i));
+        ASSERT_TRUE(snap.result.ok);
+        frame_bytes +=
+            daemon::serializeCompiledProgram(*snap.result.program).size();
+    }
+    // Repeats hit the tier and add nothing to it.
+    for (int i = 0; i < 3; ++i)
+        EXPECT_EQ(submitAndWait(d, variant(i), "t1").cacheSource,
+                  daemon::CacheSource::Memory);
+
+    const service::CompileCacheStats mem = d.stats().memCache;
+    EXPECT_EQ(mem.entries, 6u);
+    EXPECT_EQ(mem.bytes, frame_bytes);
 }
 
 TEST(Daemon, OverQuotaSubmitIsRejectedStructurally)
@@ -677,6 +698,64 @@ TEST(Daemon, CorruptCacheEntryIsRejectedAndRecompiled)
 
     JobSnapshot healed = submitAndWait(d2, circuit, "t1");
     EXPECT_EQ(healed.cacheSource, daemon::CacheSource::Memory);
+}
+
+TEST(Daemon, StaleVersionEntryIsRecompiledAndRestored)
+{
+    ScratchDir scratch("upgrade");
+    DaemonOptions opts = fastOptions();
+    opts.cacheDir = scratch.path.string();
+    const Circuit circuit = benchmarkByName("BV4").circuit;
+
+    {
+        CompileDaemon d(topo(), day(0), opts);
+        ASSERT_TRUE(submitAndWait(d, circuit).result.ok);
+    }
+
+    // An entry an older writer left: version 1 in header bytes 4-7.
+    // The checksum covers only the payload, so the frame is otherwise
+    // intact.
+    const auto version_of = [](const fs::path &path) {
+        std::ifstream in(path, std::ios::binary);
+        std::string header(8, '\0');
+        in.read(header.data(), 8);
+        std::uint32_t v = 0;
+        for (int i = 0; i < 4; ++i)
+            v |= static_cast<std::uint32_t>(
+                     static_cast<unsigned char>(header[4 + i]))
+                 << (8 * i);
+        return v;
+    };
+    std::vector<fs::path> entries;
+    for (const fs::directory_entry &e :
+         fs::directory_iterator(scratch.path))
+        entries.push_back(e.path());
+    ASSERT_EQ(entries.size(), 1u);
+    const fs::path entry = entries[0];
+    {
+        std::fstream io(entry,
+                        std::ios::binary | std::ios::in | std::ios::out);
+        io.seekp(4);
+        io.write("\x01\0\0\0", 4);
+    }
+    ASSERT_EQ(version_of(entry), 1u);
+
+    {
+        CompileDaemon d2(topo(), day(0), opts);
+        JobSnapshot snap = submitAndWait(d2, circuit);
+        ASSERT_TRUE(snap.result.ok);
+        EXPECT_EQ(snap.cacheSource, daemon::CacheSource::None);
+        daemon::DaemonStats stats = d2.stats();
+        EXPECT_EQ(stats.disk.corruptRejected, 1u);
+        EXPECT_EQ(stats.disk.stores, 1u);
+    }
+    EXPECT_EQ(version_of(entry), daemon::kProgramSerdesVersion);
+
+    CompileDaemon d3(topo(), day(0), opts);
+    JobSnapshot again = submitAndWait(d3, circuit);
+    ASSERT_TRUE(again.result.ok);
+    EXPECT_EQ(again.cacheSource, daemon::CacheSource::Disk);
+    EXPECT_EQ(d3.stats().verifiedOnLoad, 1u);
 }
 
 TEST(Daemon, DiskEntriesAreVerifiedOnLoad)

@@ -472,4 +472,74 @@ TEST(ProgramSerdes, TruncatedPayloadsAreRejectedOrRoundTrip)
     }
 }
 
+/** LEB128 of `v`, as the payload stores an integer. */
+std::string
+varint(std::uint64_t v)
+{
+    std::string out;
+    for (; v >= 0x80; v >>= 7)
+        out.push_back(static_cast<char>(v | 0x80));
+    out.push_back(static_cast<char>(v));
+    return out;
+}
+
+/** Whether `payload` decodes behind `frame`'s re-patched header. */
+bool
+decodes(const std::string &frame, const std::string &payload)
+{
+    CompiledProgram out;
+    return daemon::deserializeCompiledProgram(reframed(frame, payload),
+                                              out);
+}
+
+TEST(ProgramSerdes, RejectsVarintOverTenBytesOrSixtyFourBits)
+{
+    // The payload opens with mapperName's length, 8 ("GreedyE*").
+    const std::string frame =
+        daemon::serializeCompiledProgram(sampleProgram());
+    ASSERT_EQ(frame[24], '\x08');
+    const std::string rest = frame.substr(25);
+    const std::string eight_in_ten = '\x88' + std::string(8, '\x80');
+    EXPECT_TRUE(decodes(frame, eight_in_ten + '\0' + rest));
+    EXPECT_FALSE(decodes(frame, eight_in_ten + '\x80' + '\0' + rest));
+    // Bit 64 set in the tenth byte: 8 once it wraps, so it must fail.
+    EXPECT_FALSE(decodes(frame, eight_in_ten + '\x02' + rest));
+}
+
+TEST(ProgramSerdes, RejectsIntFieldOutOfRange)
+{
+    CompiledProgram p;
+    p.layout = {5};
+    const std::string frame = daemon::serializeCompiledProgram(p);
+    // Two empty names, then a layout of one entry: zigzag(5) is 10.
+    const std::string head("\0\0\x01", 3);
+    ASSERT_EQ(frame.substr(24, 4), head + '\x0a');
+    const std::string rest = frame.substr(28);
+    EXPECT_TRUE(decodes(frame, head + varint(0xfffffffeull) + rest));
+    EXPECT_TRUE(decodes(frame, head + varint(0xffffffffull) + rest));
+    EXPECT_FALSE(decodes(frame, head + varint(0x100000000ull) + rest));
+    EXPECT_FALSE(decodes(frame, head + varint(0x100000001ull) + rest));
+}
+
+TEST(ProgramSerdes, RejectsCountBeyondBytesLeft)
+{
+    CompiledProgram p;
+    p.layout = {5};
+    const std::string frame = daemon::serializeCompiledProgram(p);
+    const std::string names("\0\0", 2);
+    const std::string rest = frame.substr(27); // after the count
+    EXPECT_TRUE(decodes(frame, names + varint(1) + rest));
+    EXPECT_FALSE(decodes(frame, names + varint(rest.size() + 1) + rest));
+    // Taken at its word, this count would ask for exabytes.
+    EXPECT_FALSE(decodes(frame, names + varint(1ull << 62) + rest));
+}
+
+TEST(ProgramSerdes, RejectsTrailingPayloadBytes)
+{
+    const std::string frame =
+        daemon::serializeCompiledProgram(sampleProgram());
+    EXPECT_TRUE(decodes(frame, frame.substr(24)));
+    EXPECT_FALSE(decodes(frame, frame.substr(24) + '\0'));
+}
+
 } // namespace
