@@ -177,8 +177,9 @@ TEST(ProgramSerdes, RejectsEmptyAndForeignBlobs)
  * text and the NQCP cache frame of heuristic_stream-shaped programs
  * (16-48 qubits, universal-set and 60%-CNOT) under the five
  * heuristic bundles. Timing fields are zeroed before the frame is
- * hashed. Captured before the emitter and the frame writer were
- * rewritten for speed; a change to either that moves one byte shows
+ * hashed. The QASM hashes were captured before the emitter was
+ * rewritten for speed, the frame hashes when NQCP moved to its
+ * version 2 encoding; a change to either that moves one byte shows
  * up here.
  */
 struct ByteGolden
@@ -202,58 +203,58 @@ const ByteGolden kByteGoldens[] = {
      {0xac23e82d2335d131ull, 0xff30f8a12ecd6a08ull,
       0x5e4599cb14958d83ull, 0x0d9a02a2d8eb7c56ull,
       0x8808d7f95e959e42ull},
-     {0xb0cc1d33aaf19d1eull, 0xba7951b7b0f7ebcbull,
-      0x77252b20276c0d6dull, 0xb49c700a9abc709dull,
-      0x055a46231474d9daull}},
+     {0x837deb6fbce16902ull, 0x57f08bbfe2db1768ull,
+      0x50996fee717415b1ull, 0xac5f5a70a36951cdull,
+      0xfa5edd29a4f3fbd4ull}},
     {"grid:8x8", 0, true, 48, 1024, 42,
      {0x1d1b9cd6e94b8455ull, 0x4e672c430ff8fbf6ull,
       0x3e305b6fdae939cdull, 0x8121e99c4207d7e5ull,
       0x582ae384886ba202ull},
-     {0xcdd888a91f3e3c5full, 0x1bf5bb58fe23d949ull,
-      0x0de43e6f10b7bcd7ull, 0xa6ccb2cadbab3b7bull,
-      0xd5c9881afbdd2628ull}},
+     {0x2caee253a8bd2922ull, 0xe001a7572bd52668ull,
+      0xb327307e4281ab46ull, 0x09f9570d0a4ff13aull,
+      0x5f6796c444c53e19ull}},
     {"grid:8x8", 1, false, 48, 1024, 43,
      {0x96af7778f45dc3b8ull, 0x041b40cc61cf34faull,
       0x161323121bbb1cd4ull, 0x13e66e015c378100ull,
       0x7a145748f3fad94aull},
-     {0xef5a4217731383c5ull, 0x4b1cb643da01c88dull,
-      0xf156649a8390cfecull, 0x1ef805f2a29080ccull,
-      0xbf4d50666e9f9b63ull}},
+     {0x536f3aa1d2e3b937ull, 0x984bce106dc7a588ull,
+      0x409e9013289fae6full, 0x7855692b4e8b43b2ull,
+      0x9f009d9ed2dd77f3ull}},
     {"grid:8x8", 1, true, 32, 512, 44,
      {0xc5d373a6b5ebcc3cull, 0x7420a9475a39f0d2ull,
       0x9f25b21c45a5f62aull, 0xd23466bcca9965eaull,
       0x268bbe16cbc1576dull},
-     {0x7cbc3ab19580665eull, 0x30051aa6738420c7ull,
-      0x6aee7ecc2cec0bf6ull, 0x7a7c94135f752ec3ull,
-      0xa0e31e2b893617e1ull}},
+     {0x6b7c973aae8dd685ull, 0x384604c82b05df6cull,
+      0xedcaa1b00439e1f8ull, 0xd73f214c9a62d1f1ull,
+      0x8129eca7b839793dull}},
     {"heavyhex:5", 0, false, 40, 768, 45,
      {0x2242dc6e771aa37aull, 0x6adf12de735fb5d7ull,
       0x60468c697f91153dull, 0x61840610366bcc79ull,
       0x7739c8433c206bfaull},
-     {0x4c24247a9a11e7e4ull, 0xdf65298597e5ff8cull,
-      0xb8bc5af46ff6b615ull, 0x6c88d04536f5eb4eull,
-      0x72def27903674195ull}},
+     {0x5b8d541cc3d07e8full, 0x9b9aa84c41b3089aull,
+      0xfa100fc4215e1730ull, 0x0b776b0cfebf0de3ull,
+      0xd6102b4437a8dacbull}},
     {"heavyhex:5", 0, true, 24, 512, 46,
      {0x27d4568c2eb6f76dull, 0xbdf306830db04e28ull,
       0x09c16c19cd54416bull, 0x6a372fe41c0177feull,
       0x74704194ff5d5313ull},
-     {0xfd9048c3e1512503ull, 0x023f54d78b63b9b3ull,
-      0xee307d68d17c014cull, 0xac9b44971672860dull,
-      0x39384d9c33066bb2ull}},
+     {0x47664a547968a5aeull, 0x710caf258b623026ull,
+      0x29601a7abc18921dull, 0xec3fe45bc47305c3ull,
+      0x0ac08ab34d7bac14ull}},
     {"ring:16", 0, false, 16, 512, 47,
      {0xc5e94aa98ceb0172ull, 0x7090c1a7c41594a2ull,
       0x906b17ff150ae765ull, 0xefb177a1d41a9cb4ull,
       0x1334744612260cbcull},
-     {0x8c806c5a4f4a297bull, 0x6da72618b7017efeull,
-      0xdbcfa72b438abbb3ull, 0xa4c89bb7d49b7105ull,
-      0x9dee38b5650919d4ull}},
+     {0x3dee38b3d66090c5ull, 0xa072bdfa393319cbull,
+      0x789044f922c7fe9aull, 0x7d1b91260772ae74ull,
+      0x02c69c74f21a7697ull}},
     {"ring:16", 0, true, 16, 256, 48,
      {0xda95087e415dc7bcull, 0xc3d63e9538dd644aull,
       0xefeaa068e044315cull, 0xb511919788716f4aull,
       0x71301c77d39bf3b4ull},
-     {0xef32529c68bfbd93ull, 0x992b8ac678a2c797ull,
-      0xb8458fdefa997bf6ull, 0x28124a38830e0d1aull,
-      0x1499c89612651a37ull}},
+     {0x1251154aa1ffed36ull, 0xaa00387e12f2dc30ull,
+      0xa28c2760172edd53ull, 0xbc1fe784e44788eeull,
+      0xcdf2844b1294b8b4ull}},
 };
 
 std::uint64_t
