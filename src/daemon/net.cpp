@@ -91,18 +91,28 @@ bool
 LineChannel::readLine(std::string &line)
 {
     constexpr std::size_t kReadSize = 4096;
+    tooLarge_ = false;
     for (;;) {
         const std::size_t nl = buffer_.find('\n', scanned_);
         if (nl != std::string::npos) {
             std::size_t end = nl;
             if (end > head_ && buffer_[end - 1] == '\r')
                 --end;
-            line.assign(buffer_, head_, end - head_);
+            tooLarge_ = tooLarge_ || end - head_ > kMaxLineBytes;
+            if (tooLarge_)
+                line.clear();
+            else
+                line.assign(buffer_, head_, end - head_);
             head_ = scanned_ = nl + 1;
             return true;
         }
         // No whole line left: drop the returned lines once per refill
-        // and read behind the partial line.
+        // and read behind the partial line. A partial line over the
+        // cap is dropped as well, and so is the rest of it as it comes.
+        if (buffer_.size() - head_ > kMaxLineBytes) {
+            tooLarge_ = true;
+            head_ = buffer_.size();
+        }
         buffer_.erase(0, head_);
         head_ = 0;
         scanned_ = buffer_.size();

@@ -12,6 +12,7 @@
 #ifndef QC_DAEMON_NET_HPP
 #define QC_DAEMON_NET_HPP
 
+#include <cstddef>
 #include <string>
 
 namespace qc::daemon {
@@ -29,6 +30,9 @@ int listenUnix(const std::string &path, std::string &error);
  */
 int connectUnix(const std::string &path, std::string &error);
 
+/** Longest line LineChannel::readLine() returns: 1 MiB. */
+inline constexpr std::size_t kMaxLineBytes = std::size_t{1} << 20;
+
 /**
  * Buffered line-oriented reader/writer over one socket fd. Owns the
  * fd and closes it on destruction.
@@ -45,9 +49,14 @@ class LineChannel
     /**
      * Read one line (without the trailing '\n') into `line`. Returns
      * false on EOF or error with nothing (or a partial final line)
-     * pending.
+     * pending. A line longer than kMaxLineBytes is read and discarded
+     * up to its '\n', so the buffer stays bounded and the stream in
+     * step: it comes back as true, an empty `line` and lineTooLarge().
      */
     bool readLine(std::string &line);
+
+    /** Whether the line readLine() last returned was over the cap. */
+    bool lineTooLarge() const { return tooLarge_; }
 
     /** Write `line` plus '\n'; false on error. */
     bool writeLine(const std::string &line);
@@ -62,6 +71,7 @@ class LineChannel
     std::string buffer_;      ///< bytes read; those before head_ returned
     std::size_t head_ = 0;    ///< start of the first unreturned line
     std::size_t scanned_ = 0; ///< no '\n' in [head_, scanned_)
+    bool tooLarge_ = false;   ///< the line being read is over the cap
 };
 
 } // namespace qc::daemon

@@ -251,6 +251,36 @@ TEST(LineChannel, DropsPartialLastLineAtEof)
     EXPECT_FALSE(ch.reader->readLine(rest));
 }
 
+TEST(LineChannel, DiscardsALineOverTheCapAndStaysInStep)
+{
+    ChannelPair ch;
+    // The socket buffer holds far less than 2 MiB: write on a thread.
+    std::thread writer(
+        [&ch] { ch.send(std::string(2u << 20, 'x') + "\nping\n"); });
+    std::string line = "stale";
+    EXPECT_TRUE(ch.reader->readLine(line));
+    EXPECT_TRUE(ch.reader->lineTooLarge());
+    EXPECT_TRUE(line.empty());
+    EXPECT_EQ(ch.line(), "ping");
+    EXPECT_FALSE(ch.reader->lineTooLarge());
+    writer.join();
+}
+
+TEST(LineChannel, ReturnsALineOfExactlyTheCap)
+{
+    ChannelPair ch;
+    const std::string at_cap(daemon::kMaxLineBytes, 'y');
+    std::thread writer([&] {
+        ch.send(at_cap + "\r\n" + at_cap + "z\nend\n");
+    });
+    EXPECT_EQ(ch.line(), at_cap);
+    EXPECT_FALSE(ch.reader->lineTooLarge());
+    EXPECT_EQ(ch.line(), "");
+    EXPECT_TRUE(ch.reader->lineTooLarge());
+    EXPECT_EQ(ch.line(), "end");
+    writer.join();
+}
+
 // ---------------------------------------------------------------- //
 // Submission queue
 // ---------------------------------------------------------------- //

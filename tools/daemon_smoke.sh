@@ -14,9 +14,9 @@
 #      re-verify against one-shot naqc on that day,
 #   3. restart the daemon on the same cache directory and assert the
 #      whole working set is served from the persistent disk cache,
-#   4. submit malformed QASM inline and an out-of-range protocol
-#      value: each must get an err reply while the daemon keeps
-#      answering,
+#   4. submit malformed QASM inline, an out-of-range protocol value
+#      and a 65 MiB payload, over naqcd's 64 MiB cap: each must get an
+#      err reply while the daemon keeps answering,
 #   5. open and close 300 connections: the daemon's virtual size
 #      must not grow with them,
 #   6. clean shutdown.
@@ -189,6 +189,15 @@ rc=$?
 [ "$rc" = "1" ] && grep -q "^err reason=bad_portfolio_deadline_ms" \
     "$WORK/deadline.result" \
     || fail "deadline above UINT_MAX: exit $rc: $(cat "$WORK/deadline.result")"
+# naqcd reads an oversized payload to its end, drops it and refuses
+# the submit.
+yes 'h q[0];' | head -c $((65 << 20)) > "$WORK/huge.qasm"
+"$CLIENT" --socket "$SOCK" submit --qasm "$WORK/huge.qasm" --wait \
+    > /dev/null 2> "$WORK/huge.result"
+rc=$?
+rm -f "$WORK/huge.qasm"
+[ "$rc" = "1" ] && grep -q "^err reason=too-large" "$WORK/huge.result" \
+    || fail "65 MiB payload: exit $rc: $(head -c 300 "$WORK/huge.result")"
 "$CLIENT" --socket "$SOCK" ping 2>&1 | grep -q "^ok pong" \
     || fail "daemon stopped answering after hostile input"
 

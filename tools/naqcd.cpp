@@ -8,7 +8,9 @@
  * graceful drain (stop admitting, finish in-flight jobs, exit).
  *
  * Protocol (one request line, one `ok`/`err` response line, optional
- * payload block terminated by a lone "."):
+ * payload block terminated by a lone "."; a request line over 1 MiB
+ * or a payload block over 64 MiB is discarded and answered
+ * `err reason=too-large`):
  *
  *   submit bench=NAME|qasm=inline [tenant=T] [priority=high|normal|low]
  *          [mapper=NAME] [portfolio=all|K1,K2,...]
@@ -100,8 +102,8 @@ printUsage(std::ostream &os)
           "(default: off)\n"
           "  --cache-capacity N   in-memory cache entries "
           "(default: 4096)\n"
-          "  --cache-bytes N      in-memory cache byte cap "
-          "(default: unbounded)\n"
+          "  --cache-bytes N      in-memory cache byte cap, in "
+          "encoded frame bytes (default: unbounded)\n"
           "  --tenant-quota N     max in-flight jobs per tenant "
           "(default: 64; 0 = off)\n"
           "  --warm-top N         hot fingerprints recompiled on "
@@ -163,18 +165,40 @@ parseArgs(int argc, char **argv)
     return cli;
 }
 
-/** Read lines until a lone "."; false on EOF mid-payload. */
+/** Largest inline payload block a request may carry: 64 MiB. */
+constexpr std::size_t kMaxPayloadBytes = std::size_t{64} << 20;
+
+/**
+ * Read an inline payload block, the lines up to a lone ".". Past
+ * kMaxPayloadBytes, or at a line over the line cap, the rest of the
+ * block is read and discarded: memory stays bounded and the
+ * connection in step. False, with the err reply written, when the
+ * block was too large or the connection ended inside it.
+ */
 bool
 readPayload(daemon::LineChannel &ch, std::string &payload)
 {
     payload.clear();
+    bool too_large = false;
     std::string line;
     while (ch.readLine(line)) {
-        if (line == ".")
-            return true;
+        if (line == ".") { // a line over the cap comes back empty
+            if (too_large)
+                ch.writeLine("err reason=too-large");
+            return !too_large;
+        }
+        if (too_large)
+            continue;
+        if (ch.lineTooLarge() ||
+            payload.size() + line.size() >= kMaxPayloadBytes) {
+            too_large = true;
+            std::string().swap(payload);
+            continue;
+        }
         payload += line;
         payload += '\n';
     }
+    ch.writeLine("err reason=truncated-payload");
     return false;
 }
 
@@ -285,10 +309,8 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
             circuit = benchmarkByName(req.get("bench")).circuit;
         } else if (req.get("qasm") == "inline") {
             std::string text;
-            if (!readPayload(ch, text)) {
-                ch.writeLine("err reason=truncated-payload");
+            if (!readPayload(ch, text))
                 return;
-            }
             circuit = parseQasm(text, req.get("tag", "inline"));
         } else {
             ch.writeLine(
@@ -371,10 +393,8 @@ handleReload(Server &srv, daemon::LineChannel &ch,
     try {
         if (req.has("cal") && req.get("cal") == "inline") {
             std::string text;
-            if (!readPayload(ch, text)) {
-                ch.writeLine("err reason=truncated-payload");
+            if (!readPayload(ch, text))
                 return;
-            }
             cal = loadCalibration(text, srv.topo, "reload");
             day = static_cast<int>(req.getInt("day", 0));
             source = req.get("source", "reload-inline");
@@ -405,6 +425,10 @@ serveConnection(Server &srv, int fd)
     daemon::LineChannel ch(fd);
     std::string line;
     while (ch.readLine(line)) {
+        if (ch.lineTooLarge()) {
+            ch.writeLine("err reason=too-large");
+            continue;
+        }
         daemon::Request req = daemon::parseRequest(line);
         if (req.command.empty())
             continue;
