@@ -283,7 +283,8 @@ statsLine(const daemon::DaemonStats &s)
         << " records=" << s.records
         << " programs_held=" << s.programsHeld
         << " hot_entries=" << s.hotEntries
-        << " tenants=" << s.tenants.size();
+        << " tenants=" << s.tenants.size()
+        << " disk_bytes=" << s.disk.bytesWritten;
     return oss.str();
 }
 
