@@ -110,10 +110,8 @@ DiskCacheStore::loadFrame(const service::CacheKey &key,
         ++stats_.corruptRejected;
         return nullptr;
     }
-    {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.loads;
-    }
+    std::lock_guard<std::mutex> lock(mu_);
+    ++stats_.loads;
     return std::make_shared<const std::string>(std::move(bytes));
 }
 
