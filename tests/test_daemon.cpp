@@ -266,6 +266,39 @@ TEST(LineChannel, DiscardsALineOverTheCapAndStaysInStep)
     writer.join();
 }
 
+/** This process's resident set in kB, from /proc/self/status. */
+std::size_t
+residentKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string key;
+    std::size_t kb = 0;
+    while (in >> key)
+        if (key == "VmRSS:" && in >> kb)
+            break;
+    return kb;
+}
+
+TEST(LineChannel, OverlongLineKeepsTheBufferBounded)
+{
+    // 128 MiB without a newline: a reader that kept the line would
+    // hold all of it, and keep the buffer's capacity afterwards.
+    ChannelPair ch;
+    std::thread writer([&ch] {
+        const std::string chunk(1u << 20, 'x');
+        for (int i = 0; i < 128; ++i)
+            ch.send(chunk);
+        ch.send("\nping\n");
+    });
+    const std::size_t before = residentKb();
+    std::string line;
+    EXPECT_TRUE(ch.reader->readLine(line));
+    EXPECT_TRUE(ch.reader->lineTooLarge());
+    EXPECT_LT(residentKb(), before + 32 * 1024);
+    EXPECT_EQ(ch.line(), "ping");
+    writer.join();
+}
+
 TEST(LineChannel, ReturnsALineOfExactlyTheCap)
 {
     ChannelPair ch;
