@@ -332,6 +332,13 @@ TEST(ProgramSerdes, SerializeDeserializeSerializeIsAFixpoint)
     }
 }
 
+/** The payload behind a frame's header: magic, version, size, checksum. */
+std::string
+payloadOf(const std::string &frame)
+{
+    return frame.substr(24);
+}
+
 /** The frame of `payload` under `frame`'s magic and version, with its
  *  size and checksum re-patched so the payload decoder sees it. */
 std::string
@@ -421,12 +428,11 @@ TEST(ProgramSerdes, HostilePayloadsAreRejectedOrRoundTrip)
         }
     }
 
-    constexpr std::size_t kHeader = 24;
     Rng rng(test::kSeed, "serdes-mutants");
     int accepted = 0;
     for (const std::string &frame : frames) {
         for (int m = 0; m < 200; ++m) {
-            std::string payload = frame.substr(kHeader);
+            std::string payload = payloadOf(frame);
             const int edits = rng.uniformInt(1, 4);
             for (int e = 0; e < edits && !payload.empty(); ++e) {
                 const auto at = static_cast<std::size_t>(rng.uniformInt(
@@ -453,7 +459,7 @@ TEST(ProgramSerdes, HostilePayloadsAreRejectedOrRoundTrip)
     EXPECT_GT(accepted, 0);
 }
 
-TEST(ProgramSerdes, TruncatedPayloadsAreRejectedOrRoundTrip)
+TEST(ProgramSerdes, PayloadCutAtEveryLengthIsRejected)
 {
     GridTopology topo(2, 4);
     auto machine = std::make_shared<const Machine>(
@@ -465,7 +471,7 @@ TEST(ProgramSerdes, TruncatedPayloadsAreRejectedOrRoundTrip)
     ASSERT_TRUE(result.hasProgram);
     const std::string frame =
         daemon::serializeCompiledProgram(result.program);
-    const std::string payload = frame.substr(24);
+    const std::string payload = payloadOf(frame);
     for (std::size_t len = 0; len < payload.size(); ++len) {
         SCOPED_TRACE("payload cut to " + std::to_string(len));
         EXPECT_FALSE(
@@ -498,8 +504,8 @@ TEST(ProgramSerdes, RejectsVarintOverTenBytesOrSixtyFourBits)
     // The payload opens with mapperName's length, 8 ("GreedyE*").
     const std::string frame =
         daemon::serializeCompiledProgram(sampleProgram());
-    ASSERT_EQ(frame[24], '\x08');
-    const std::string rest = frame.substr(25);
+    ASSERT_EQ(payloadOf(frame)[0], '\x08');
+    const std::string rest = payloadOf(frame).substr(1);
     const std::string eight_in_ten = '\x88' + std::string(8, '\x80');
     EXPECT_TRUE(decodes(frame, eight_in_ten + '\0' + rest));
     EXPECT_FALSE(decodes(frame, eight_in_ten + '\x80' + '\0' + rest));
@@ -514,8 +520,8 @@ TEST(ProgramSerdes, RejectsIntFieldOutOfRange)
     const std::string frame = daemon::serializeCompiledProgram(p);
     // Two empty names, then a layout of one entry: zigzag(5) is 10.
     const std::string head("\0\0\x01", 3);
-    ASSERT_EQ(frame.substr(24, 4), head + '\x0a');
-    const std::string rest = frame.substr(28);
+    ASSERT_EQ(payloadOf(frame).substr(0, 4), head + '\x0a');
+    const std::string rest = payloadOf(frame).substr(4);
     EXPECT_TRUE(decodes(frame, head + varint(0xfffffffeull) + rest));
     EXPECT_TRUE(decodes(frame, head + varint(0xffffffffull) + rest));
     EXPECT_FALSE(decodes(frame, head + varint(0x100000000ull) + rest));
@@ -528,7 +534,7 @@ TEST(ProgramSerdes, RejectsCountBeyondBytesLeft)
     p.layout = {5};
     const std::string frame = daemon::serializeCompiledProgram(p);
     const std::string names("\0\0", 2);
-    const std::string rest = frame.substr(27); // after the count
+    const std::string rest = payloadOf(frame).substr(3); // after the count
     EXPECT_TRUE(decodes(frame, names + varint(1) + rest));
     EXPECT_FALSE(decodes(frame, names + varint(rest.size() + 1) + rest));
     // Taken at its word, this count would ask for exabytes.
@@ -539,8 +545,8 @@ TEST(ProgramSerdes, RejectsTrailingPayloadBytes)
 {
     const std::string frame =
         daemon::serializeCompiledProgram(sampleProgram());
-    EXPECT_TRUE(decodes(frame, frame.substr(24)));
-    EXPECT_FALSE(decodes(frame, frame.substr(24) + '\0'));
+    EXPECT_TRUE(decodes(frame, payloadOf(frame)));
+    EXPECT_FALSE(decodes(frame, payloadOf(frame) + '\0'));
 }
 
 } // namespace
