@@ -421,6 +421,29 @@ TEST(Daemon, MemoryTierCountsExactFrameBytes)
     EXPECT_EQ(mem.bytes, frame_bytes);
 }
 
+TEST(Daemon, CacheByteCapBoundsResidentFrames)
+{
+    // Room for the frames of the first three jobs, not all six.
+    std::size_t three = 0;
+    {
+        CompileDaemon probe(topo(), day(0), fastOptions());
+        for (int i = 0; i < 3; ++i)
+            three += daemon::serializeCompiledProgram(
+                         *submitAndWait(probe, variant(i)).result.program)
+                         .size();
+    }
+    DaemonOptions opts = fastOptions();
+    opts.cacheByteCapacity = three;
+    CompileDaemon d(topo(), day(0), opts);
+    for (int i = 0; i < 6; ++i)
+        ASSERT_TRUE(submitAndWait(d, variant(i)).result.ok);
+
+    const service::CompileCacheStats mem = d.stats().memCache;
+    EXPECT_LE(mem.bytes, three);
+    EXPECT_LT(mem.entries, 6u);
+    EXPECT_GT(mem.evictions, 0u);
+}
+
 TEST(Daemon, OverQuotaSubmitIsRejectedStructurally)
 {
     DaemonOptions opts;
