@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -257,6 +258,81 @@ TEST(PortfolioRace, CancellingTheRaceCancelsEveryCandidate)
     EXPECT_EQ(raced.cancelledCount,
               static_cast<int>(kHeuristics.size()));
     EXPECT_EQ(raced.best.status.code, CompileStatusCode::Cancelled);
+}
+
+// ---------------------------------------------------------------- //
+// Table 2 races on the paper's machine
+// ---------------------------------------------------------------- //
+
+std::uint64_t
+bitsOf(double v)
+{
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    return bits;
+}
+
+/**
+ * Every Table 2 kernel raced over all eight bundles on the seed-
+ * 20190131 2x8 grid, day 0, under the serial executor (the default
+ * 10 s SMT deadline). Run once and shared by the tests below.
+ */
+const std::vector<PortfolioResult> &
+table2Grid2x8Day0Races()
+{
+    static const std::vector<PortfolioResult> races = [] {
+        PortfolioPass pass(test::day0Snapshot(), portfolioOptions({}));
+        std::vector<PortfolioResult> out;
+        for (const Benchmark &b : paperBenchmarks())
+            out.push_back(pass.run(b.circuit));
+        return out;
+    }();
+    return races;
+}
+
+/** A race's winner, its prediction by bit pattern, and its makespan. */
+struct RacePin
+{
+    const char *kernel;
+    const char *winner;
+    std::uint64_t psuccessBits;
+    Timeslot duration;
+};
+
+// Captured from the race that waited out every SMT candidate.
+const RacePin kGrid2x8Day0Pins[] = {
+    {"BV4", "R-SMT*", 0x3fe9d297e84f245dull, 108},
+    {"BV6", "R-SMT*", 0x3fe8263ce5ab6b7full, 108},
+    {"BV8", "R-SMT*", 0x3fe611bc5d2c7451ull, 96},
+    {"HS2", "R-SMT*", 0x3fed114c6cc0eedbull, 39},
+    {"HS4", "R-SMT*", 0x3fe96138ed5b749dull, 39},
+    {"HS6", "R-SMT*", 0x3fe5ba3d7295a456ull, 43},
+    {"Toffoli", "R-SMT*", 0x3fe8624bb6916652ull, 189},
+    {"Fredkin", "R-SMT*", 0x3fe792faa7b78329ull, 208},
+    {"Or", "R-SMT*", 0x3fe8624bb6916652ull, 189},
+    {"Peres", "R-SMT*", 0x3fe9b6c1ab9b45f8ull, 123},
+    {"QFT", "R-SMT*", 0x3fec089d12e5e866ull, 69},
+    {"Adder", "GreedyE*+track", 0x3fe1bb43bfa88b11ull, 245},
+};
+
+TEST(PortfolioTable2, Grid2x8Day0WinnersArePinned)
+{
+    if (test::kThreadSanitizer)
+        GTEST_SKIP() << "a T-SMT* slowed by TSan can hit its deadline";
+    const auto &races = table2Grid2x8Day0Races();
+    ASSERT_EQ(races.size(), std::size(kGrid2x8Day0Pins));
+    for (size_t i = 0; i < races.size(); ++i) {
+        const RacePin &pin = kGrid2x8Day0Pins[i];
+        const PortfolioResult &r = races[i];
+        ASSERT_TRUE(r.ok()) << pin.kernel;
+        const PipelineResult &best = r.best;
+        EXPECT_EQ(r.candidates[r.winnerIndex].name, pin.winner)
+            << pin.kernel;
+        EXPECT_EQ(bitsOf(best.program.predictedSuccess),
+                  pin.psuccessBits)
+            << pin.kernel;
+        EXPECT_EQ(best.program.duration, pin.duration) << pin.kernel;
+    }
 }
 
 // ---------------------------------------------------------------- //
