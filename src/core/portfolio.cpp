@@ -1,11 +1,14 @@
 #include "portfolio.hpp"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <sstream>
 
+#include "solver/bnb_placer.hpp"
 #include "support/logging.hpp"
 
 namespace qc {
@@ -18,6 +21,30 @@ isSmtKind(MapperKind k)
 {
     return k == MapperKind::TSmt || k == MapperKind::TSmtStar ||
            k == MapperKind::RSmtStar;
+}
+
+/**
+ * Node cap of the one-bend-path bound's search, R-SMT*'s warm-start
+ * cap: a race that includes R-SMT* pays at most one more such search.
+ */
+constexpr std::int64_t kOneBendBoundNodeLimit = 2'000'000;
+
+/** T-SMT and T-SMT*: the duration solvers R-SMT* outranks on ties. */
+bool
+isDurationSmtKind(MapperKind k)
+{
+    return k == MapperKind::TSmt || k == MapperKind::TSmtStar;
+}
+
+/**
+ * Bundles whose standardPipeline routes every CNOT on one of the
+ * machine's one-bend routes, so that oneBendPathSuccessBound bounds
+ * their prediction (point 1 in portfolio.hpp).
+ */
+bool
+routesOnOneBendPaths(MapperKind k)
+{
+    return k == MapperKind::Qiskit || isSmtKind(k);
 }
 
 } // namespace
@@ -67,6 +94,67 @@ circuitSuccessUpperBound(const Machine &machine, const Circuit &prog)
     return std::exp(log_ub);
 }
 
+double
+oneBendPathSuccessBound(const Machine &machine, const Circuit &prog)
+{
+    const int n_prog = prog.numQubits();
+    if (n_prog == 0 || n_prog > machine.numQubits())
+        return circuitSuccessUpperBound(machine, prog);
+
+    // f's log sum, term for term as predictLogReliability forms it.
+    auto logF = [&](const std::vector<HwQubit> &layout) {
+        double log_f = 0.0;
+        for (size_t i = 0; i < prog.size(); ++i) {
+            const Gate &g = prog.gate(i);
+            if (g.op == Op::CNOT)
+                log_f += std::log(
+                    machine
+                        .bestReliabilityPath(layout[g.q0], layout[g.q1])
+                        .reliability);
+            else if (g.isMeasure())
+                log_f += std::log(
+                    machine.cal().readoutReliability(layout[g.q0]));
+        }
+        return log_f;
+    };
+
+    // A: the largest magnitude each gate's log term can take, summed
+    // (point 3 in portfolio.hpp).
+    const int n_hw = machine.numQubits();
+    double worst_cnot = 0.0;
+    double worst_readout = 0.0;
+    for (HwQubit a = 0; a < n_hw; ++a) {
+        worst_readout = std::max(
+            worst_readout,
+            -std::log(machine.cal().readoutReliability(a)));
+        for (HwQubit b = 0; b < n_hw; ++b)
+            if (a != b)
+                worst_cnot = std::max(
+                    worst_cnot,
+                    -std::log(machine.bestPathReliability(a, b)));
+    }
+    double magnitude = 0.0;
+    for (const Gate &g : prog.gates()) {
+        if (g.op == Op::CNOT)
+            magnitude += worst_cnot;
+        else if (g.isMeasure())
+            magnitude += worst_readout;
+    }
+    const double terms = static_cast<double>(prog.size() + n_prog);
+
+    double best_log_f = -std::numeric_limits<double>::infinity();
+    BnbOptions options;
+    options.readoutWeight = 0.5;
+    options.nodeLimit = kOneBendBoundNodeLimit;
+    options.pruneMargin = -4.0 * terms * DBL_EPSILON * magnitude;
+    options.visitLeaf = [&](const std::vector<HwQubit> &layout) {
+        best_log_f = std::max(best_log_f, logF(layout));
+    };
+    if (!BnbPlacer(machine, prog, options).solve().optimal)
+        return circuitSuccessUpperBound(machine, prog);
+    return std::exp(best_log_f);
+}
+
 std::vector<MapperKind>
 parsePortfolioBundles(const std::string &text)
 {
@@ -97,20 +185,57 @@ parsePortfolioBundles(const std::string &text)
 std::vector<size_t>
 PortfolioPass::launchOrder(const std::vector<MapperKind> &bundles)
 {
+    // Heuristics, then R-SMT* (its optimum is what cancels the
+    // duration solvers), then T-SMT and T-SMT*.
+    auto launchClass = [&bundles](size_t i) {
+        return !isSmtKind(bundles[i])                 ? 0
+               : bundles[i] == MapperKind::RSmtStar ? 1
+                                                      : 2;
+    };
     std::vector<size_t> order(bundles.size());
     std::iota(order.begin(), order.end(), size_t{0});
     std::stable_sort(order.begin(), order.end(),
-                     [&bundles](size_t a, size_t b) {
-                         return !isSmtKind(bundles[a]) &&
-                                isSmtKind(bundles[b]);
+                     [&launchClass](size_t a, size_t b) {
+                         return launchClass(a) < launchClass(b);
                      });
     return order;
+}
+
+std::vector<size_t>
+PortfolioPass::tieRank(const std::vector<MapperKind> &bundles)
+{
+    // Sort by (position, R-SMT* first): R-SMT* takes the position of
+    // the first duration solver before it and goes just ahead of it.
+    const auto first_duration = static_cast<size_t>(
+        std::find_if(bundles.begin(), bundles.end(), isDurationSmtKind) -
+        bundles.begin());
+    auto position = [&](size_t i) {
+        return bundles[i] == MapperKind::RSmtStar
+                   ? std::min(i, first_duration)
+                   : i;
+    };
+    std::vector<size_t> order(bundles.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(),
+                     [&](size_t a, size_t b) {
+                         const size_t pa = position(a);
+                         const size_t pb = position(b);
+                         if (pa != pb)
+                             return pa < pb;
+                         return bundles[a] == MapperKind::RSmtStar &&
+                                bundles[b] != MapperKind::RSmtStar;
+                     });
+    std::vector<size_t> rank(bundles.size());
+    for (size_t r = 0; r < order.size(); ++r)
+        rank[order[r]] = r;
+    return rank;
 }
 
 PortfolioPass::PortfolioPass(std::shared_ptr<const Machine> machine,
                              CompilerOptions options)
     : machine_(std::move(machine)), options_(options),
-      bundles_(resolvedPortfolioBundles(options.portfolio))
+      bundles_(resolvedPortfolioBundles(options.portfolio)),
+      tieRank_(tieRank(bundles_))
 {
     QC_ASSERT(machine_ != nullptr, "portfolio needs a machine snapshot");
     QC_ASSERT(!bundles_.empty(), "portfolio needs at least one bundle");
@@ -140,7 +265,14 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
 
     PortfolioResult out;
     out.upperBound = circuitSuccessUpperBound(*machine_, prog);
-    const double ub = out.upperBound;
+    out.oneBendBound =
+        std::any_of(bundles_.begin(), bundles_.end(), isSmtKind)
+            ? oneBendPathSuccessBound(*machine_, prog)
+            : out.upperBound;
+    std::vector<double> bounds(n);
+    for (size_t j = 0; j < n; ++j)
+        bounds[j] = routesOnOneBendPaths(bundles_[j]) ? out.oneBendBound
+                                                      : out.upperBound;
     const PortfolioTieBreak tiebreak = options_.portfolio.tieBreak;
 
     struct Slot
@@ -165,9 +297,9 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
     };
 
     // Sound early cancellation: a completed eligible candidate i with
-    // prediction p provably beats every unfinished j when p > ub (no
-    // mapping can predict above the bound), or when p == ub and i
-    // precedes j under the BundleOrder tie-break (j can at best tie,
+    // prediction p provably beats an unfinished j when p > ub_j (j
+    // cannot predict above its bound), or when p == ub_j and i
+    // outranks j under the BundleOrder tie-break (j can at best tie,
     // then loses the tie-break). Under ShortestDuration a tie at the
     // bound could still be won by a shorter j, so only the strict
     // form applies there. Cancelled candidates therefore never
@@ -184,8 +316,8 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
             if (j == i || slots[j].done)
                 continue;
             const bool beats =
-                p > ub ||
-                (p == ub && i < j &&
+                p > bounds[j] ||
+                (p == bounds[j] && tieRank_[i] < tieRank_[j] &&
                  tiebreak == PortfolioTieBreak::BundleOrder);
             if (beats)
                 slots[j].token.requestCancel(
@@ -223,18 +355,18 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
                             : static_cast<PortfolioExecutor &>(serial);
     exec.runAll(std::move(tasks));
 
-    // Selection over the full array in bundle order, after the race:
-    // thread timing cannot change the outcome because ineligible
-    // candidates never win and cancellation only killed provable
-    // losers.
-    auto better = [&](const PipelineResult &a, const PipelineResult &b) {
-        if (a.program.predictedSuccess != b.program.predictedSuccess)
-            return a.program.predictedSuccess >
-                   b.program.predictedSuccess;
+    // Selection over the full array, after the race: thread timing
+    // cannot change the outcome because ineligible candidates never
+    // win and cancellation only killed provable losers.
+    auto better = [&](size_t i, size_t j) {
+        const CompiledProgram &a = slots[i].result.program;
+        const CompiledProgram &b = slots[j].result.program;
+        if (a.predictedSuccess != b.predictedSuccess)
+            return a.predictedSuccess > b.predictedSuccess;
         if (tiebreak == PortfolioTieBreak::ShortestDuration &&
-            a.program.duration != b.program.duration)
-            return a.program.duration < b.program.duration;
-        return false; // bundle order: the earlier incumbent stays
+            a.duration != b.duration)
+            return a.duration < b.duration;
+        return tieRank_[i] < tieRank_[j];
     };
 
     int chosen = -1;
@@ -244,7 +376,7 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
             if (!isEligible(slots[i].result))
                 continue;
             if (chosen < 0 ||
-                better(slots[i].result, slots[chosen].result))
+                better(i, static_cast<size_t>(chosen)))
                 chosen = static_cast<int>(i);
         }
     };
@@ -280,8 +412,7 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
         for (size_t i = 0; i < n; ++i) {
             if (!slots[i].result.hasProgram)
                 continue;
-            if (chosen < 0 ||
-                better(slots[i].result, slots[chosen].result))
+            if (chosen < 0 || better(i, static_cast<size_t>(chosen)))
                 chosen = static_cast<int>(i);
         }
     }
@@ -305,6 +436,9 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
             c.swapCount = s.result.program.swapCount;
         }
         c.seconds = s.result.program.compileSeconds;
+        c.upperBound = bounds[i];
+        if (c.cancelled)
+            c.cancelReason = s.token.reason();
         c.stageTraces = s.result.program.stageTraces;
         if (s.ran)
             ++out.launchedCount;

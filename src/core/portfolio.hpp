@@ -18,18 +18,84 @@
  *    (solverOptimal — timeout-truncated SMT incumbents depend on
  *    wall-clock luck and are excluded; so are degraded fallbacks and
  *    cancelled runs, which produce no program at all).
- *  - Selection happens after the race over the full candidate array
- *    in bundle order: max predicted success, ties broken by
- *    PortfolioTieBreak (default: lower bundle index).
+ *  - Selection happens after the race over the full candidate array:
+ *    max predicted success, ties broken by PortfolioTieBreak
+ *    (default: the tie rank below).
  *  - Early cancellation only kills *provable* losers. A completed
  *    eligible candidate i with predicted success p cancels an
- *    unfinished candidate j only when p > ub — where ub is
- *    circuitSuccessUpperBound, a bound no mapping of this circuit on
- *    this machine can exceed — or when p == ub and i precedes j in
- *    bundle order under the BundleOrder tie-break (j can at best tie
- *    and then loses the tie-break anyway). Both predictions and the
- *    bound are exp(sum-of-logs) accumulated in program-gate order,
- *    so the bound dominates term-by-term.
+ *    unfinished candidate j only when p > ub_j, or when p == ub_j and
+ *    i outranks j under the BundleOrder tie-break (j can at best tie
+ *    and then loses the tie-break anyway). ub_j is candidate j's own
+ *    upper bound: U (below) for the bundles whose routes all come
+ *    from the machine's one-bend route set — Qiskit, T-SMT, T-SMT*
+ *    and R-SMT* — and circuitSuccessUpperBound for the rest: GreedyV*
+ *    and GreedyE* route along Dijkstra paths, which can beat every
+ *    one-bend route, and GreedyE*+track and Sabre route live.
+ *  - The tie rank is bundle order, except that R-SMT* ranks ahead of
+ *    T-SMT and T-SMT* (tieRank). R-SMT* maximizes f, the very score
+ *    U bounds, so where it reaches U it cancels the two duration
+ *    solvers, which could at best tie it.
+ *
+ * The one-bend-path bound U. For a layout L let
+ *
+ *     f(L) = exp( sum over program gates, in program order, of
+ *                 log bestReliabilityPath(L[c], L[t]).reliability
+ *                     for a CNOT(c, t),
+ *                 log readoutReliability(L[q]) for a measure of q )
+ *
+ * — R-SMT*'s own prediction formula — and U = max over injective L of
+ * f(L), computed in floating point exactly as written. U bounds every
+ * prediction p_j of a one-bend bundle j; four points make that sound:
+ *
+ *  1. p_j <= f(L_j) for j's layout L_j, term by term in the same
+ *     summation order. The list scheduler's prediction is the same
+ *     program-order log sum, with each CNOT term the log reliability
+ *     of the route chooseRoute returns. For every one-bend route
+ *     source that route is one of the pair's (one or two) one-bend
+ *     routes, and bestReliabilityPath is the most reliable of them:
+ *     fixed junctions (Qiskit's row-first routes, the SMT solvers'
+ *     junction variables, clamped to the routes that exist),
+ *     BestDuration under both the 1BP and the RR policy (T-SMT and
+ *     T-SMT*, and their trivial-layout fallback) and BestReliability
+ *     (R-SMT* without junctions). Measure terms are identical. A
+ *     smaller reliability has a no larger log, round-to-nearest
+ *     addition is monotone in each operand, and exp is monotone, so
+ *     the inequality survives rounding.
+ *  2. U is a maximum over all layouts, not a property of any solver.
+ *     R-SMT*'s escape from joint scheduling beyond 12 CNOTs, its
+ *     location encoding on non-grid topologies, its integer-scaled
+ *     logs and a readout weight other than 0.5 change only which
+ *     layout it returns, and so how often it reaches U — never
+ *     whether U bounds it. The same holds for a solve cut short by
+ *     its deadline.
+ *  3. The maximum is found with BnbPlacer at omega = 0.5, whose
+ *     objective is f's log sum halved, regrouped by qubit pair and
+ *     summed in another order. Every term is non-positive, so each
+ *     of those sums, and f's, is within gamma_N * A of its exact
+ *     value, where A sums, over the program's CNOTs and measures, the
+ *     largest magnitude the gate's log term can take, and N = gates
+ *     + qubits (Higham, Accuracy and Stability of Numerical
+ *     Algorithms, 2002, sec. 4.2). The search therefore prunes a
+ *     subtree only when its bound falls below the incumbent by more
+ *     than 4 * N * DBL_EPSILON * A, which exceeds all of those
+ *     rounding errors together (the subtree's bound, the incumbent's
+ *     value, f on both layouts, and the comparison itself): no
+ *     layout pruned that way can have an f at least the incumbent's.
+ *     Every layout that survives is re-evaluated with f exactly as
+ *     written and the largest value is U. (BnbPlacer's default rule, which also prunes within 1e-12
+ *     of the incumbent, stays R-SMT*'s warm start.) Taking the
+ *     incumbent's own f would not do: on the 2x8 grid's BV6 and HS6
+ *     and heavy-hex d=3's Toffoli and Or, the maximum of f sits 1–2
+ *     ulp above both BnbPlacer's layout and R-SMT*'s prediction.
+ *  4. When the search trips its node cap, or the program does not
+ *     fit the machine, U falls back to circuitSuccessUpperBound,
+ *     which bounds every bundle.
+ *
+ * Winner verification (below) may demote a winner and re-select; the
+ * runner-up it then picks is the best candidate that was not
+ * cancelled, which need not be the one a race without cancellation
+ * would pick. That was already so under the global bound, and only a
+ * verifier rejection, itself a compiler bug, gets there.
  *
  * Execution is pluggable so this layer stays free of the service's
  * ThreadPool: a PortfolioExecutor runs the candidate closures, the
@@ -37,10 +103,10 @@
  * calling thread (the bit-identity oracle), and the service provides
  * a pool-backed one (service/portfolio_executor.hpp) with a
  * help-while-wait worker budget. Launch order puts the cheap
- * heuristic bundles before the SMT bundles so early completions can
- * cancel expensive solves, and PortfolioOptions::deadlineMs caps each
- * SMT candidate's solver budget identically in serial and parallel
- * runs.
+ * heuristic bundles before the SMT bundles, and R-SMT* first among
+ * those, so early completions can cancel expensive solves, and
+ * PortfolioOptions::deadlineMs caps each SMT candidate's solver
+ * budget identically in serial and parallel runs.
  */
 
 #ifndef QC_CORE_PORTFOLIO_HPP
@@ -56,6 +122,15 @@
 #include "support/cancel.hpp"
 
 namespace qc {
+
+/**
+ * Version of PortfolioPass::tieRank. The rank picks the winner among
+ * equal predictions, so it is mixed into every portfolio cache key
+ * (service::fingerprintOptions): a cache written under another rank
+ * must not serve that rank's tie winners. Version 1 was plain bundle
+ * order.
+ */
+inline constexpr int kPortfolioTieRankVersion = 2;
 
 /** One raced bundle's outcome, win or lose. */
 struct PortfolioCandidate
@@ -73,6 +148,8 @@ struct PortfolioCandidate
     Timeslot duration = 0;         ///< valid iff hasProgram
     int swapCount = 0;             ///< valid iff hasProgram
     double seconds = 0.0;          ///< candidate wall-clock
+    double upperBound = 0.0;  ///< the bound the race held it to
+    std::string cancelReason; ///< e.g. "outpaced by R-SMT*"; if cancelled
     std::vector<StageTrace> stageTraces;
 };
 
@@ -100,8 +177,15 @@ struct PortfolioResult
      */
     int verifyRejectedCount = 0;
 
-    /** circuitSuccessUpperBound for this race (diagnostic). */
+    /** circuitSuccessUpperBound for this race. */
     double upperBound = 0.0;
+
+    /**
+     * U, the one-bend-path bound, when the race includes an SMT
+     * bundle (the only candidates worth stopping early); otherwise,
+     * or when U fell back, upperBound.
+     */
+    double oneBendBound = 0.0;
 
     bool ok() const { return best.ok(); }
 };
@@ -137,6 +221,16 @@ double circuitSuccessUpperBound(const Machine &machine,
                                 const Circuit &prog);
 
 /**
+ * U: the maximum over injective layouts of f, R-SMT*'s prediction
+ * formula (see the file comment), bit for bit as f computes it; or
+ * circuitSuccessUpperBound when the search trips its node cap or the
+ * program does not fit the machine. No prediction of a bundle that
+ * routes on the machine's one-bend routes exceeds it.
+ */
+double oneBendPathSuccessBound(const Machine &machine,
+                               const Circuit &prog);
+
+/**
  * Parse a comma-separated bundle list ("greedye,sabre,rsmt*") with
  * mapperKindFromName's lenient matching. Throws FatalError on an
  * unknown name, a duplicate kind, or an empty list.
@@ -168,10 +262,18 @@ class PortfolioPass
     const std::vector<MapperKind> &bundles() const { return bundles_; }
 
     /**
-     * Candidate indices in launch order: cheap heuristics first, SMT
-     * bundles last, stable within each class.
+     * Candidate indices in launch order: cheap heuristics first, then
+     * R-SMT*, then T-SMT and T-SMT*, stable within each class.
      */
     static std::vector<size_t> launchOrder(
+        const std::vector<MapperKind> &bundles);
+
+    /**
+     * Each candidate's tie rank (0 wins ties first): bundle order,
+     * except that R-SMT* moves just ahead of the first T-SMT or
+     * T-SMT* that precedes it.
+     */
+    static std::vector<size_t> tieRank(
         const std::vector<MapperKind> &bundles);
 
   private:
@@ -179,6 +281,7 @@ class PortfolioPass
     CompilerOptions options_;
     std::vector<MapperKind> bundles_;
     std::vector<Pipeline> pipelines_; ///< one per bundle
+    std::vector<size_t> tieRank_;     ///< tieRank(bundles_)
 };
 
 } // namespace qc

@@ -1,5 +1,6 @@
 #include "fingerprints.hpp"
 
+#include "core/portfolio.hpp"
 #include "support/fingerprint.hpp"
 
 namespace qc::service {
@@ -70,15 +71,16 @@ fingerprintOptions(const CompilerOptions &options)
         .mix(options.sabreLookahead);
     // Portfolio knobs change which program comes back, so a portfolio
     // result must never alias a single-bundle cache entry (nor a
-    // portfolio with different bundles/deadline/tie-break). A disabled
-    // portfolio mixes only the flag: its other knobs are inert and
-    // must not fragment the single-bundle key space. The bundle list
-    // is mixed resolved so "empty = all" and the explicit full list
-    // hash identically (they compile identically).
+    // portfolio with different bundles/deadline/tie-break/tie rank).
+    // A disabled portfolio mixes only the flag: its other knobs are
+    // inert and must not fragment the single-bundle key space. The
+    // bundle list is mixed resolved so "empty = all" and the explicit
+    // full list hash identically (they compile identically).
     fp.mix(options.portfolio.enabled);
     if (options.portfolio.enabled) {
         fp.mix(static_cast<std::uint64_t>(options.portfolio.deadlineMs))
-            .mix(static_cast<int>(options.portfolio.tieBreak));
+            .mix(static_cast<int>(options.portfolio.tieBreak))
+            .mix(kPortfolioTieRankVersion);
         const std::vector<MapperKind> bundles =
             resolvedPortfolioBundles(options.portfolio);
         fp.mix(static_cast<std::uint64_t>(bundles.size()));

@@ -162,13 +162,17 @@ BnbPlacer::dfs(int level, double value)
         return;
     }
     if (level == numProg_) {
+        if (options_.visitLeaf &&
+            (best_.empty() || value > bestObj_ + options_.pruneMargin))
+            options_.visitLeaf(assign_);
         if (value > bestObj_ || best_.empty()) {
             bestObj_ = value;
             best_ = assign_;
         }
         return;
     }
-    if (!best_.empty() && value + bound(level) <= bestObj_ + 1e-12)
+    if (!best_.empty() &&
+        value + bound(level) <= bestObj_ + options_.pruneMargin)
         return;
 
     ProgQubit q = order_[level];

@@ -15,6 +15,7 @@
 #define QC_SOLVER_BNB_PLACER_HPP
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "ir/circuit.hpp"
@@ -27,6 +28,23 @@ struct BnbOptions
 {
     double readoutWeight = 0.5; ///< Eq. 12's omega
     std::int64_t nodeLimit = 50'000'000; ///< search-node safety cap
+
+    /**
+     * A subtree is pruned when its value plus bound is at most the
+     * incumbent plus this margin. The default also prunes near-ties,
+     * and R-SMT*'s warm start keeps the layout it finds that way. The
+     * portfolio's one-bend-path bound (core/portfolio.hpp) passes
+     * minus a proven rounding slack instead, so that no layout within
+     * rounding of the best is pruned.
+     */
+    double pruneMargin = 1e-12;
+
+    /**
+     * Called with every complete layout (indexed by program qubit)
+     * that the margin does not prune; null calls nothing. The
+     * one-bend-path bound re-scores each one exactly.
+     */
+    std::function<void(const std::vector<HwQubit> &)> visitLeaf;
 };
 
 /** Result of a branch-and-bound solve. */
