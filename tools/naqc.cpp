@@ -507,15 +507,16 @@ printStageTrace(std::ostream &os,
 void
 printPortfolioTable(std::ostream &os, const PortfolioResult &raced)
 {
-    Table t({"bundle", "status", "pred. success", "swaps", "duration",
-             "seconds", "outcome"});
+    Table t({"bundle", "status", "pred. success", "bound", "swaps",
+             "duration", "seconds", "outcome"});
     for (const PortfolioCandidate &c : raced.candidates) {
         std::string outcome = c.winner      ? "winner"
-                              : c.cancelled ? "cancelled"
+                              : c.cancelled ? "cancelled: " + c.cancelReason
                               : c.eligible  ? "lost"
                                             : "ineligible";
         t.addRow({c.name, compileStatusCodeName(c.status.code),
                   c.hasProgram ? Table::fmt(c.predictedSuccess) : "-",
+                  Table::fmt(c.upperBound),
                   c.hasProgram
                       ? Table::fmt(static_cast<long long>(c.swapCount))
                       : "-",
@@ -528,7 +529,8 @@ printPortfolioTable(std::ostream &os, const PortfolioResult &raced)
     os << "portfolio: " << raced.launchedCount << " launched, "
        << raced.cancelledCount << " cancelled early; success upper "
           "bound "
-       << Table::fmt(raced.upperBound) << "\n";
+       << Table::fmt(raced.upperBound) << ", one-bend-path bound "
+       << Table::fmt(raced.oneBendBound) << "\n";
 }
 
 int
