@@ -141,6 +141,56 @@ struct CompileDaemon::JobRecord
     service::CompileResult result;
 };
 
+CompileDaemon::DoneRecord::DoneRecord(const JobRecord &record)
+    : epochId(record.epochId), numClbits(record.numClbits),
+      swapCount(record.summary.swapCount),
+      duration(record.summary.duration),
+      predictedSuccess(record.summary.predictedSuccess),
+      raced(static_cast<std::uint16_t>(record.summary.raced)),
+      cancelled(static_cast<std::uint16_t>(record.summary.cancelled)),
+      lane(static_cast<std::uint8_t>(record.lane)),
+      cacheSource(static_cast<std::uint8_t>(record.cacheSource)),
+      code(static_cast<std::uint8_t>(record.result.status.code)),
+      ok(record.result.ok), hasProgram(record.summary.hasProgram)
+{
+    const service::CompileResult &r = record.result;
+    tenantSize = static_cast<std::uint32_t>(record.tenant.size());
+    tagSize = static_cast<std::uint32_t>(r.tag.size());
+    winnerSize = static_cast<std::uint32_t>(r.winner.size());
+    text = record.tenant + r.tag + r.winner + r.status.message;
+}
+
+JobSnapshot
+CompileDaemon::DoneRecord::snapshot(std::uint64_t id) const
+{
+    std::size_t at = 0;
+    auto next = [&](std::size_t n) {
+        std::string field = text.substr(at, n);
+        at += n;
+        return field;
+    };
+    JobSnapshot snap;
+    snap.id = id;
+    snap.tenant = next(tenantSize);
+    snap.lane = static_cast<Lane>(lane);
+    snap.state = JobState::Done;
+    snap.epochId = epochId;
+    snap.cacheSource = static_cast<CacheSource>(cacheSource);
+    snap.numClbits = numClbits;
+    snap.summary.hasProgram = hasProgram;
+    snap.summary.swapCount = swapCount;
+    snap.summary.duration = duration;
+    snap.summary.predictedSuccess = predictedSuccess;
+    snap.summary.raced = raced;
+    snap.summary.cancelled = cancelled;
+    snap.result.tag = next(tagSize);
+    snap.result.winner = next(winnerSize);
+    snap.result.ok = ok;
+    snap.result.status.code = static_cast<CompileStatusCode>(code);
+    snap.result.status.message = text.substr(at);
+    return snap;
+}
+
 CompileDaemon::CompileDaemon(Topology topo, Calibration initial,
                              DaemonOptions options, int day,
                              std::string source)
@@ -367,8 +417,6 @@ void
 CompileDaemon::finishLocked(JobRecord &record)
 {
     record.state = JobState::Done;
-    if (record.collector == std::thread::id())
-        releaseProgram(record.result);
     ++completed_;
     auto it = tenants_.find(record.tenant);
     if (it != tenants_.end()) {
@@ -383,10 +431,13 @@ CompileDaemon::finishLocked(JobRecord &record)
             }
         }
     }
+    if (record.collector == std::thread::id())
+        retireLocked(record);
     // A pruned record lives on in a wait() already blocked on it.
     doneOrder_.push_back(record.id);
     while (doneOrder_.size() > options_.jobHistory) {
-        jobs_.erase(doneOrder_.front());
+        if (jobs_.erase(doneOrder_.front()) == 0)
+            done_.erase(doneOrder_.front());
         doneOrder_.pop_front();
     }
     QC_ASSERT(outstanding_ > 0, "job accounting underflow");
@@ -394,6 +445,18 @@ CompileDaemon::finishLocked(JobRecord &record)
     jobDone_.notify_all();
     if (outstanding_ == 0)
         allIdle_.notify_all();
+}
+
+void
+CompileDaemon::retireLocked(JobRecord &record)
+{
+    releaseProgram(record.result);
+    // A record already pruned from the history stays pruned.
+    auto it = jobs_.find(record.id);
+    if (it == jobs_.end())
+        return;
+    done_.emplace(record.id, DoneRecord(record));
+    jobs_.erase(it);
 }
 
 void
@@ -438,9 +501,14 @@ CompileDaemon::status(std::uint64_t id, JobSnapshot &out) const
 {
     std::lock_guard<std::mutex> lock(jobsMu_);
     auto it = jobs_.find(id);
-    if (it == jobs_.end())
+    if (it != jobs_.end()) {
+        out = snapshotLocked(*it->second);
+        return true;
+    }
+    auto done = done_.find(id);
+    if (done == done_.end())
         return false;
-    out = snapshotLocked(*it->second);
+    out = done->second.snapshot(id);
     return true;
 }
 
@@ -450,8 +518,13 @@ CompileDaemon::wait(std::uint64_t id, JobSnapshot &out)
     std::shared_ptr<JobRecord> record;
     std::unique_lock<std::mutex> lock(jobsMu_);
     auto it = jobs_.find(id);
-    if (it == jobs_.end())
-        return false;
+    if (it == jobs_.end()) {
+        auto done = done_.find(id);
+        if (done == done_.end())
+            return false;
+        out = done->second.snapshot(id);
+        return true;
+    }
     record = it->second;
     jobDone_.wait(lock,
                   [&] { return record->state == JobState::Done; });
@@ -461,7 +534,7 @@ CompileDaemon::wait(std::uint64_t id, JobSnapshot &out)
     // submitter without its program.
     if (record->collector == std::this_thread::get_id()) {
         record->collector = std::thread::id();
-        releaseProgram(record->result);
+        retireLocked(*record);
     }
     return true;
 }
@@ -574,7 +647,7 @@ CompileDaemon::stats() const
         s.warmRecompiles = warmRecompiles_;
         s.verifiedOnLoad = verifiedOnLoad_;
         s.healed = healed_;
-        s.records = jobs_.size();
+        s.records = jobs_.size() + done_.size();
         for (const auto &[id, record] : jobs_)
             if (record->result.program)
                 ++s.programsHeld;

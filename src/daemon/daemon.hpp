@@ -82,8 +82,9 @@ struct DaemonOptions
     /**
      * Completed job records kept for `status` and `wait`, oldest
      * dropped first. A record keeps its program only until its
-     * submitter collects it (see JobSnapshot); after that it is a few
-     * hundred bytes.
+     * submitter collects it (see JobSnapshot); after that it keeps
+     * only what those two report, about 130 bytes with its share of
+     * the index (~8 MB for the default 65,536).
      */
     std::size_t jobHistory = 65536;
 
@@ -132,8 +133,8 @@ struct JobSummary
  * A finished job holds its program and machine snapshot until the
  * first wait() on the thread that submitted it returns them, or, for
  * a job submitted with `collect` false, until it finishes. From then
- * on `result` comes back without program, machine, stage traces or
- * portfolio candidates; `summary` and the rest stay.
+ * on `result` carries only ok, status, tag and winner; `summary` and
+ * the rest of the snapshot stay.
  */
 struct JobSnapshot
 {
@@ -275,6 +276,35 @@ class CompileDaemon
   private:
     struct JobRecord;
 
+    /**
+     * A finished job once its program is gone: what `status` and
+     * `wait` report, and its tag. Tenant, tag, winner and status
+     * message share one string, whose inline buffer holds the usual
+     * short ones, so a record allocates nothing beyond its map node.
+     */
+    struct DoneRecord
+    {
+        explicit DoneRecord(const JobRecord &record);
+        JobSnapshot snapshot(std::uint64_t id) const;
+
+        std::string text; ///< tenant, tag, winner, then the message
+        std::uint32_t tenantSize = 0;
+        std::uint32_t tagSize = 0;
+        std::uint32_t winnerSize = 0;
+        std::int32_t epochId = 0;
+        std::int32_t numClbits = 0;
+        std::int32_t swapCount = 0;
+        Timeslot duration = 0;
+        double predictedSuccess = 0.0;
+        std::uint16_t raced = 0;
+        std::uint16_t cancelled = 0;
+        std::uint8_t lane = 0;        ///< Lane
+        std::uint8_t cacheSource = 0; ///< CacheSource
+        std::uint8_t code = 0;        ///< CompileStatusCode
+        bool ok = false;
+        bool hasProgram = false;
+    };
+
     void pump(int home_shard);
     void runJob(const std::shared_ptr<JobRecord> &record);
     /** The verified disk frame for `key`, decoded into `program`. */
@@ -283,6 +313,8 @@ class CompileDaemon
         const Machine &machine, CompiledProgram &program,
         bool &verifiedOnLoad, bool &healedEntry);
     void finishLocked(JobRecord &record);
+    /** Drop the program and keep `record` as a DoneRecord. */
+    void retireLocked(JobRecord &record);
     void noteHotUse(const Circuit &circuit,
                     const CompilerOptions &options,
                     std::uint64_t circuit_fp,
@@ -303,8 +335,10 @@ class CompileDaemon
     mutable std::mutex jobsMu_;
     std::condition_variable jobDone_;   ///< some job reached Done
     std::condition_variable allIdle_;   ///< outstanding_ hit zero
+    /// Queued, running, or finished and still holding a program.
     std::unordered_map<std::uint64_t, std::shared_ptr<JobRecord>>
         jobs_;
+    std::unordered_map<std::uint64_t, DoneRecord> done_; ///< the rest
     std::deque<std::uint64_t> doneOrder_; ///< completion order (prune)
     std::uint64_t nextJobId_ = 1;
     std::size_t outstanding_ = 0; ///< jobs queued or running

@@ -678,6 +678,26 @@ TEST(Daemon, RetainedStateStaysFlatByCount)
     EXPECT_LE(stats.tenants.size(), daemon::kMaxIdleTenants);
 }
 
+TEST(Daemon, FinishedRecordsStayCompact)
+{
+    // A full default history of collected memory hits. Each record
+    // keeps what `status` and `wait` report, so 65,536 of them stay
+    // under 10 MB (a record that kept its whole result took ~600 B).
+    if (test::kThreadSanitizer || test::kAddressSanitizer)
+        GTEST_SKIP() << "the sanitizer's allocator sets resident size";
+    CompileDaemon d(topo(), day(0), fastOptions());
+    const Circuit bv4 = benchmarkByName("BV4").circuit;
+    for (int i = 0; i < 1000; ++i)
+        submitAndWait(d, bv4);
+
+    const std::size_t history = DaemonOptions().jobHistory;
+    const std::size_t before = residentKb();
+    for (std::size_t i = 0; i < history; ++i)
+        submitAndWait(d, bv4);
+    EXPECT_EQ(d.stats().records, history);
+    EXPECT_LT(residentKb(), before + 10 * 1024);
+}
+
 // ---------------------------------------------------------------- //
 // Daemon: persistent cache
 // ---------------------------------------------------------------- //

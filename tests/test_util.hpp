@@ -36,6 +36,14 @@ inline constexpr bool kThreadSanitizer = true;
 inline constexpr bool kThreadSanitizer = false;
 #endif
 
+/** Whether this is an AddressSanitizer build (its allocator pads and
+ *  quarantines, so resident-size bounds do not apply). */
+#if defined(__SANITIZE_ADDRESS__)
+inline constexpr bool kAddressSanitizer = true;
+#else
+inline constexpr bool kAddressSanitizer = false;
+#endif
+
 /** Process-wide IBMQ16 environment. */
 inline const ExperimentEnv &
 env()
