@@ -24,10 +24,13 @@ isSmtKind(MapperKind k)
 }
 
 /**
- * Node cap of the one-bend-path bound's search, R-SMT*'s warm-start
- * cap: a race that includes R-SMT* pays at most one more such search.
+ * Node cap of the one-bend-path bound's search: 15x the largest
+ * Table 2 search (13,242 nodes, HS6 on the 2x8 grid) and a tenth of
+ * R-SMT*'s warm-start cap, so that a program past it falls back to
+ * the global bound for at most a tenth of what R-SMT*'s own search
+ * may spend (about 2 s on an 8x8 grid).
  */
-constexpr std::int64_t kOneBendBoundNodeLimit = 2'000'000;
+constexpr std::int64_t kOneBendBoundNodeLimit = 200'000;
 
 /** T-SMT and T-SMT*: the duration solvers R-SMT* outranks on ties. */
 bool
@@ -204,27 +207,20 @@ PortfolioPass::launchOrder(const std::vector<MapperKind> &bundles)
 std::vector<size_t>
 PortfolioPass::tieRank(const std::vector<MapperKind> &bundles)
 {
-    // Sort by (position, R-SMT* first): R-SMT* takes the position of
-    // the first duration solver before it and goes just ahead of it.
-    const auto first_duration = static_cast<size_t>(
-        std::find_if(bundles.begin(), bundles.end(), isDurationSmtKind) -
-        bundles.begin());
-    auto position = [&](size_t i) {
-        return bundles[i] == MapperKind::RSmtStar
-                   ? std::min(i, first_duration)
-                   : i;
-    };
+    // Bundle order, with R-SMT* rotated to just ahead of the first
+    // duration solver before it.
     std::vector<size_t> order(bundles.size());
     std::iota(order.begin(), order.end(), size_t{0});
-    std::stable_sort(order.begin(), order.end(),
-                     [&](size_t a, size_t b) {
-                         const size_t pa = position(a);
-                         const size_t pb = position(b);
-                         if (pa != pb)
-                             return pa < pb;
-                         return bundles[a] == MapperKind::RSmtStar &&
-                                bundles[b] != MapperKind::RSmtStar;
-                     });
+    const auto rsmt =
+        std::find(bundles.begin(), bundles.end(), MapperKind::RSmtStar) -
+        bundles.begin();
+    const auto first_duration =
+        std::find_if(bundles.begin(), bundles.end(), isDurationSmtKind) -
+        bundles.begin();
+    if (rsmt != static_cast<std::ptrdiff_t>(bundles.size()) &&
+        first_duration < rsmt)
+        std::rotate(order.begin() + first_duration, order.begin() + rsmt,
+                    order.begin() + rsmt + 1);
     std::vector<size_t> rank(bundles.size());
     for (size_t r = 0; r < order.size(); ++r)
         rank[order[r]] = r;

@@ -287,6 +287,22 @@ TEST(OneBendPathBound, MatchesBruteForceAndBoundsOneBendBundles)
     }
 }
 
+TEST(OneBendPathBound, FallsBackToTheGlobalBound)
+{
+    // Past its node cap (24 qubits on an 8x8 grid), and for a program
+    // the machine cannot hold, U is circuitSuccessUpperBound.
+    GridTopology grid(8, 8);
+    const Machine large(grid, CalibrationModel(grid, test::kSeed).forDay(0));
+    const Circuit wide = makeRandomCircuit({24, 96, test::kSeed, true});
+    EXPECT_EQ(oneBendPathSuccessBound(large, wide),
+              circuitSuccessUpperBound(large, wide));
+
+    const Machine small = test::day0();
+    const Circuit too_wide = makeRandomCircuit({20, 40, test::kSeed, true});
+    EXPECT_EQ(oneBendPathSuccessBound(small, too_wide),
+              circuitSuccessUpperBound(small, too_wide));
+}
+
 TEST(OneBendPathBound, SitsAboveRsmtOnHeavyHexToffoli)
 {
     if (test::kThreadSanitizer)
@@ -516,8 +532,16 @@ TEST(PortfolioTable2, Grid2x8Day0SkipsWhatTheBoundsRuleOut)
         auto it = exceptions.find(kernel);
         const std::vector<std::string> &expected =
             it != exceptions.end() ? it->second : duration_smt;
+        EXPECT_LT(races[i].oneBendBound, races[i].upperBound) << kernel;
         std::vector<std::string> skipped;
         for (const PortfolioCandidate &c : races[i].candidates) {
+            const bool one_bend = c.kind == MapperKind::Qiskit ||
+                                  c.kind == MapperKind::TSmt ||
+                                  c.kind == MapperKind::TSmtStar ||
+                                  c.kind == MapperKind::RSmtStar;
+            EXPECT_EQ(c.upperBound, one_bend ? races[i].oneBendBound
+                                             : races[i].upperBound)
+                << kernel << " " << c.name;
             if (!c.cancelled)
                 continue;
             skipped.push_back(c.name);
