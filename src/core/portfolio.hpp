@@ -82,11 +82,12 @@
  *     value, f on both layouts, and the comparison itself): no
  *     layout pruned that way can have an f at least the incumbent's.
  *     Every layout that survives is re-evaluated with f exactly as
- *     written and the largest value is U. (BnbPlacer's default rule, which also prunes within 1e-12
- *     of the incumbent, stays R-SMT*'s warm start.) Taking the
- *     incumbent's own f would not do: on the 2x8 grid's BV6 and HS6
- *     and heavy-hex d=3's Toffoli and Or, the maximum of f sits 1–2
- *     ulp above both BnbPlacer's layout and R-SMT*'s prediction.
+ *     written and the largest value is U. (BnbPlacer's default rule,
+ *     which also prunes within 1e-12 of the incumbent, stays R-SMT*'s
+ *     warm start.) Taking the incumbent's own f would not do: on the
+ *     2x8 grid's BV6 and HS6 and heavy-hex d=3's Toffoli and Or, the
+ *     maximum of f sits 1–2 ulp above both BnbPlacer's layout and
+ *     R-SMT*'s prediction.
  *  4. When the search trips its node cap, or the program does not
  *     fit the machine, U falls back to circuitSuccessUpperBound,
  *     which bounds every bundle.

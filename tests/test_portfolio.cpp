@@ -510,11 +510,41 @@ TEST(PortfolioTable2, Grid2x8Day0WinnersArePinned)
     }
 }
 
+TEST(PortfolioTable2, EightThreadRacesPickTheSameWinners)
+{
+    // Pooled, cancellations land mid-solve and in any order; the
+    // winners must still match the serial races bit for bit.
+    if (test::kThreadSanitizer)
+        GTEST_SKIP() << "a T-SMT* slowed by TSan can hit its deadline";
+    const auto &serial = table2Grid2x8Day0Races();
+    ThreadPool pool(8);
+    PoolPortfolioExecutor pooled(pool);
+    PortfolioPass pass(test::day0Snapshot(), portfolioOptions({}));
+    const std::vector<Benchmark> kernels = paperBenchmarks();
+    ASSERT_EQ(serial.size(), kernels.size());
+    for (size_t i = 0; i < kernels.size(); ++i) {
+        const PortfolioResult threaded =
+            pass.run(kernels[i].circuit, &pooled);
+        ASSERT_TRUE(threaded.ok()) << kernels[i].name;
+        EXPECT_EQ(threaded.winnerIndex, serial[i].winnerIndex)
+            << kernels[i].name;
+        EXPECT_EQ(bitsOf(threaded.best.program.predictedSuccess),
+                  bitsOf(serial[i].best.program.predictedSuccess))
+            << kernels[i].name;
+        EXPECT_EQ(threaded.best.program.duration,
+                  serial[i].best.program.duration)
+            << kernels[i].name;
+        EXPECT_EQ(threaded.best.program.layout,
+                  serial[i].best.program.layout)
+            << kernels[i].name;
+    }
+}
+
 TEST(PortfolioTable2, Grid2x8Day0SkipsWhatTheBoundsRuleOut)
 {
     // Where R-SMT*'s prediction reaches the one-bend-path bound it
     // outranks T-SMT and T-SMT*; on Adder GreedyE*+track beats the
-    // bound outright; on BV6 and HS6 the bound sits an ulp above
+    // bound outright; on BV6 and HS6 the bound sits 1-2 ulp above
     // R-SMT*'s prediction, so everything runs.
     if (test::kThreadSanitizer)
         GTEST_SKIP() << "a T-SMT* slowed by TSan can hit its deadline";
