@@ -25,7 +25,7 @@ isSmtKind(MapperKind k)
 
 /**
  * Node cap of the one-bend-path bound's search: 15x the largest
- * Table 2 search (13,242 nodes, HS6 on the 2x8 grid) and a tenth of
+ * Table 2 search (about 13,000 nodes, BV8 and HS6) and a tenth of
  * R-SMT*'s warm-start cap, so that a program past it falls back to
  * the global bound for at most a tenth of what R-SMT*'s own search
  * may spend (about 2 s on an 8x8 grid).
