@@ -211,6 +211,108 @@ TEST(SabrePlacement, StreamProgramsMatchGoldens)
     }
 }
 
+/**
+ * Every SWAP decision of the refinement, pinned by one digest per
+ * topology: FNV-1a over the refined layout and the bit pattern of its
+ * predicted success, for days 0, 1 and 3, six programs (universal and
+ * 60%-CNOT, 2-48 qubits, capped at the machine's size) and five option
+ * variants, six on machines of at most 20 qubits. Captured before the
+ * SWAP step was decided from delta keys: any change to a score, a tie
+ * set or a tie-break draw moves a layout or a prediction here. The
+ * variants reach the step's separate paths: reliabilityWeight 0 leaves
+ * exact ties between keys (the exact-scoring fallback), lookahead 0
+ * empties the window, decay 1 weighs the window evenly, the trivial
+ * seed starts far from a good layout, and reliabilityWeight 20 makes
+ * the search circle on reliable edges until the stall limit
+ * force-routes a gate (hundreds of times on every machine of at most
+ * 20 qubits, every day; counted in an instrumented build, which also
+ * found single forced routes on grid:8x8 day 1 at lookahead 0 and on
+ * heavyhex:5 days 0 and 3).
+ */
+struct DecisionDigest
+{
+    const char *topology;
+    std::uint64_t digest;
+};
+
+std::vector<SabreOptions>
+decisionVariants(const Topology &topo)
+{
+    std::vector<SabreOptions> v(5);
+    v[1].lookahead = 0;
+    v[2].reliabilityWeight = 0.0;
+    v[3].decay = 1.0;
+    v[4].greedySeed = false;
+    // Circling costs ~20x the SWAP steps on the 55- and 64-qubit
+    // machines; the small ones reach the stall limit just as well.
+    if (topo.numQubits() <= 20) {
+        v.emplace_back();
+        v.back().reliabilityWeight = 20.0;
+    }
+    return v;
+}
+
+Topology
+decisionTopology(const std::string &spec)
+{
+    if (spec != "edges")
+        return topologyFromSpec(spec);
+    // Two rings of 8 and 10 qubits joined by two bridges, plus chords.
+    return GraphTopology::fromEdgeList(
+        "0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 0\n"
+        "8 9\n9 10\n10 11\n11 12\n12 13\n13 14\n14 15\n15 16\n16 17\n"
+        "17 8\n3 8\n6 13\n1 5\n10 15\n",
+        "edges");
+}
+
+const DecisionDigest kDecisionDigests[] = {
+    {"grid:8x8", 0x3aec4f7024c43cd7ull},
+    {"grid:2x8", 0x531b74af42220fd6ull},
+    {"heavyhex:3", 0x53dfa273013cdd37ull},
+    {"heavyhex:5", 0xf741812536fa7fc4ull},
+    {"ring:16", 0x113a16b125cf60f9ull},
+    {"linear:12", 0xee30b86e9d9a4360ull},
+    {"edges", 0x7f070fc1f783b66aull},
+};
+
+TEST(SabrePlacement, DecisionsMatchDigests)
+{
+    struct Shape
+    {
+        int qubits;
+        int gates;
+        bool dense;
+    };
+    const Shape shapes[] = {{2, 64, false},   {6, 128, true},
+                            {16, 256, false}, {24, 512, true},
+                            {48, 768, false}, {48, 1024, true}};
+    for (const DecisionDigest &d : kDecisionDigests) {
+        SCOPED_TRACE(d.topology);
+        Topology topo = decisionTopology(d.topology);
+        Fingerprint fp;
+        for (int day : {0, 1, 3}) {
+            Machine machine = *machineFor(topo, day);
+            for (size_t s = 0; s < std::size(shapes); ++s) {
+                const int q = std::min(shapes[s].qubits, topo.numQubits());
+                const std::uint64_t seed = 40 + s;
+                Circuit prog =
+                    shapes[s].dense
+                        ? makeDenseCnotCircuit(q, shapes[s].gates, seed,
+                                               600)
+                        : makeRandomCircuit(
+                              {q, shapes[s].gates, seed, true});
+                for (const SabreOptions &o : decisionVariants(topo)) {
+                    SabrePlacementResult r =
+                        sabrePlacementDetailed(machine, prog, o);
+                    fp.mixVector(r.layout).mix(r.predictedSuccess);
+                }
+            }
+        }
+        EXPECT_EQ(fp.value(), d.digest)
+            << std::hex << "digest 0x" << fp.value();
+    }
+}
+
 class SabreNonGrid : public ::testing::TestWithParam<const char *>
 {
 };
