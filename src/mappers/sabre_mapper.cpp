@@ -53,17 +53,89 @@ cnotSequence(const Circuit &prog)
  * the downstream scheduling pass re-routes from the chosen initial
  * layout.
  *
- * A SWAP step costs a fraction of rescoring every term. Each edge's
- * -log reliability and the lookahead decay weights with their running
- * sums are tabulated once per compile; the front layer and lookahead
- * window change only when a gate retires. Each step snapshots the
- * front and window gates' endpoints, and a candidate exchange then
- * re-measures only the gates with an endpoint on the swapped pair:
- * the front sum is kept in integers (exact, so equal to summing the
- * hop counts as doubles in any order), and the window sum resumes
- * from its running value just before the first touched gate. Every
- * score is therefore bit-identical to summing all terms afresh in
- * window order, and so are the tie sets and tie-break draws.
+ * A SWAP step is decided from cheap keys, with every score, tie set
+ * and tie-break draw of the reference scan kept. The reference scores
+ * each candidate exchange e = (u, v) as
+ *
+ *     S = f' / n + lambda * (X' / W) + rho * c_e
+ *
+ * (f' the integer sum of the n front gates' hop distances after the
+ * exchange, X' the left fold in window order of the terms
+ * t_i = w_i * d_i over the k window gates, W the fold of the k decay
+ * weights, c_e the edge's -log reliability), and scans the candidates
+ * in (a, b) order, skipping the previous exchange when another exists:
+ * a score below best - tau (tau = 1e-12) resets the tie set to it and
+ * becomes the best, a score below best + tau joins the set, and a set
+ * of several ends in one Rng draw. u and v are adjacent, so every hop
+ * distance the exchange changes moves by at most one. The step
+ * snapshot holds each qubit's front partner (a sentinel qubit at
+ * distance 0 from every qubit when it has none), the front sum f, and
+ * per window gate its endpoints' XOR, its term and the running sum
+ * before it, X being the whole fold. A candidate's key is
+ *
+ *     K = base + df * (1 / n) + (lambda / W) * dw + rho * c_e,
+ *     base = f * (1 / n) + (lambda / W) * X,
+ *
+ * with df the exact integer front delta (partners' distances, the
+ * sentinel contributing 0), dw the sum of w_i * delta_i over the window
+ * gates on u or v only (each delta_i in {-1, 0, 1}, so each product is
+ * exact; a gate's other endpoint is a ^ b ^ u), and the reciprocals
+ * hoisted per step.
+ *
+ * (b) The bound epsilon. Let u = 2^-53 (unit roundoff), D the
+ *     topology's diameter and M = D + |lambda| * D * sum|w_i| / |W| +
+ *     max_e |rho * c_e|. M bounds every front cost, window cost, edge
+ *     term, score and key of the step, and every partial sum. S rounds
+ *     the front division, at most k - 1 additions of its window fold
+ *     (within gamma_{k-1} * sum|t_i|, Higham, Accuracy and Stability
+ *     of Numerical Algorithms, 2002, sec. 4.2), the window division,
+ *     the product by lambda and two final sums: within (k + 6) u M of
+ *     its real value. K rounds the k-term fold behind X, the k new and
+ *     old term products its delta stands for, at most 2k - 1 additions
+ *     in dw, two reciprocals, four products and four sums: within
+ *     (3k + 18) u M. So |K - S| <= E = (4k + 24) u M, and the rounding
+ *     of the thresholds below, fl(best +- tau) and the tests
+ *     themselves, adds at most 2 u M more. epsilon =
+ *     (3k + 24) * DBL_EPSILON * M = (6k + 48) u M covers both with
+ *     half again to spare, which also absorbs M's own rounding and
+ *     underflow (at most 2^-1075 per operation, against M >= 2). When
+ *     M is not finite or exceeds DBL_MAX / 8, epsilon is infinite and
+ *     every step takes the fallback (c).
+ * (a) Separation. When the smallest key K* trails every other key by
+ *     more than tau + 2 epsilon, the scan ends with that candidate
+ *     alone and draws nothing. In real numbers every other S_j then
+ *     exceeds S* + tau by more than the rounding of fl(S_j - tau) and
+ *     of fl(S* + tau). The running best before the scan reaches the
+ *     winner is infinity or some earlier S_j, so the winner resets the
+ *     set to itself (S* is finite because K* and epsilon are); every
+ *     later S_j is at least fl(S* + tau), neither a reset nor a tie.
+ *     A one-element set draws nothing. The skipped previous exchange
+ *     gets no key and is outside the scan in both. The step then
+ *     commits the winner without scoring anything exactly.
+ * (c) Lazy fallback. Otherwise the step runs the reference scan, but
+ *     scores a candidate exactly only when K <= fl(best + tau) +
+ *     epsilon, best the running exact best. A candidate above that has
+ *     S >= fl(best + tau) >= fl(best - tau), so the reference rule
+ *     neither resets nor extends the set with it: skipping it leaves
+ *     the best score, the set and the draw as they were. A NaN key
+ *     fails the test and is scored.
+ *     No candidate may instead be dropped before the scan for trailing
+ *     the best key by much: the scan is order-sensitive, since a set's
+ *     members compare with the best score at the time they join. With
+ *     tau = 1, scores 2.1, 1.5, 0.8, 0 end with {0.8, 0} (1.5 joins
+ *     2.1, 0.8 resets, 0 joins 0.8), but without 2.1 they end with {0}
+ *     (0.8 joins 1.5, 0 resets).
+ * (d) In-place update. After a SWAP that retires nothing, the front and
+ *     window hold the same gates, so the snapshot is updated rather
+ *     than rebuilt: the front sum by the committed delta, the partners
+ *     of u, v and of their partners, each window gate on u or v (its
+ *     XOR and term), and the lists of window gates at u and v trade
+ *     places. The running sums are re-folded from the first touched
+ *     rank; the terms before it, and so their running sums, are
+ *     unchanged, and the fold from there adds the same terms in the
+ *     same order as a rebuild. A SWAP moves only the front gates on its
+ *     pair, so only those can have become executable; a forced route
+ *     moves many qubits and marks the snapshot stale instead.
  */
 class SabreRoutePass
 {
@@ -75,23 +147,6 @@ class SabreRoutePass
                              std::vector<HwQubit> layout);
 
   private:
-    /** A front gate's endpoints and their hop distance. */
-    struct FrontGate
-    {
-        HwQubit a;
-        HwQubit b;
-        int distance;
-    };
-
-    /** A window gate's endpoints, its decayed term and the sum before it. */
-    struct WindowGate
-    {
-        HwQubit a;
-        HwQubit b;
-        double term;
-        double sumBefore;
-    };
-
     /** CNOT indices per qubit, with a per-qubit progress pointer. */
     void buildQueues(const std::vector<CnotPair> &cnots, int n_prog);
 
@@ -107,14 +162,34 @@ class SabreRoutePass
      */
     void collectWindow(const std::vector<CnotPair> &cnots);
 
-    /** Record the front and window gates' current endpoints. */
+    /** Rebuild the step snapshot from the front, window and layout. */
     void snapshot(const std::vector<CnotPair> &cnots,
                   const std::vector<HwQubit> &layout);
 
-    /** Coupling edges touching a front gate, in (a, b) order. */
-    void collectCandidates();
+    /** Update the snapshot for a committed exchange (u, v), (d). */
+    void updateSnapshot(HwQubit u, HwQubit v);
 
-    double scoreSwap(EdgeId e);
+    /** Recompute the window's running sums from rank `first` on. */
+    void refold(size_t first);
+
+    /** Coupling-edge ranks touching a front gate, in (a, b) order. */
+    void collectCandidates(const std::vector<CnotPair> &cnots,
+                           const std::vector<HwQubit> &layout);
+
+    /** Does the front gate on h, if any, sit on a coupling edge? */
+    bool frontExecutableAt(HwQubit h) const
+    {
+        return dist_[h * stride_ + partner_[h]] == 1;
+    }
+
+    /** Exact change of the front sum under exchange (u, v). */
+    int frontDelta(HwQubit u, HwQubit v) const;
+
+    /** The reference score of the edge of rank r, bit for bit. */
+    double exactScore(int r);
+
+    /** The candidate index the reference scan commits, (a)-(c). */
+    size_t chooseSwap(HwQubit last_a, HwQubit last_b);
 
     void applySwap(HwQubit u, HwQubit v, std::vector<HwQubit> &layout);
 
@@ -124,11 +199,15 @@ class SabreRoutePass
     Rng &rng_;
 
     // Per compile.
-    std::vector<double> edgeCost_;  ///< -log reliability per EdgeId
+    int sentinel_;            ///< the partner of a qubit without one
+    int stride_;              ///< row length of dist_
+    std::vector<int> dist_;   ///< hop distances, zero sentinel row/col
+    std::vector<HwQubit> rankA_, rankB_; ///< edge endpoints by rank
+    std::vector<double> edgeTerm_; ///< rho * -log reliability by rank
+    std::vector<std::vector<int>> edgeRanks_; ///< per qubit: its ranks
     std::vector<double> weight_;    ///< decay weight of window rank i
     std::vector<double> weightSum_; ///< sum of the first k weights
-    std::vector<EdgeId> rankedEdges_;  ///< edges in (a, b) order
-    std::vector<std::vector<int>> edgeRanks_; ///< per qubit: its ranks
+    std::vector<double> epsilon_;   ///< (b)'s bound for k window gates
 
     // Per pass.
     std::vector<std::vector<int>> qubitCnots_;
@@ -139,16 +218,19 @@ class SabreRoutePass
     std::vector<int> front_;
     std::vector<int> window_;
 
-    // Per SWAP step.
-    std::vector<FrontGate> frontGates_;
+    // Step snapshot, kept across SWAPs that retire nothing.
+    std::vector<int> partner_; ///< per qubit: front partner or sentinel
     int frontSum_ = 0;
-    std::vector<int> frontAt_; ///< per qubit: front gate there, or -1
-    std::vector<WindowGate> windowGates_;
+    std::vector<int> windowXor_;      ///< per window gate: a ^ b
+    std::vector<double> windowTerm_;  ///< per window gate: w_i * d_i
+    std::vector<double> sumBefore_;   ///< fold of the terms before i
     double windowSum_ = 0.0;
-    std::vector<std::vector<int>> windowAt_; ///< per qubit: window gates
-    std::vector<double> windowTerms_; ///< a candidate's window terms
+    std::vector<std::vector<int>> windowAt_; ///< per qubit: its ranks
+
+    // Per SWAP step.
+    std::vector<int> candidates_; ///< edge ranks
     std::vector<std::uint64_t> candidateBits_;
-    std::vector<EdgeId> candidates_;
+    std::vector<double> keys_;
     std::vector<size_t> best_;
 };
 
@@ -158,38 +240,71 @@ SabreRoutePass::SabreRoutePass(const Machine &machine,
     : machine_(machine), topo_(machine.topo()), options_(options),
       rng_(rng)
 {
-    for (EdgeId e = 0; e < topo_.numEdges(); ++e) {
-        edgeCost_.push_back(-std::log(machine_.cal().cnotReliability(e)));
-        rankedEdges_.push_back(e);
-    }
-    std::sort(rankedEdges_.begin(), rankedEdges_.end(),
-              [&](EdgeId x, EdgeId y) {
-                  const CouplingEdge &ex = topo_.edge(x);
-                  const CouplingEdge &ey = topo_.edge(y);
-                  return std::make_pair(ex.a, ex.b) <
-                         std::make_pair(ey.a, ey.b);
-              });
-    edgeRanks_.assign(topo_.numQubits(), {});
-    for (size_t r = 0; r < rankedEdges_.size(); ++r) {
-        const CouplingEdge &e = topo_.edge(rankedEdges_[r]);
+    const int n = topo_.numQubits();
+    sentinel_ = n;
+    stride_ = n + 1;
+    dist_.assign(static_cast<size_t>(stride_) * stride_, 0);
+    int diameter = 0;
+    for (HwQubit a = 0; a < n; ++a)
+        for (HwQubit b = 0; b < n; ++b) {
+            dist_[a * stride_ + b] = topo_.distance(a, b);
+            diameter = std::max(diameter, topo_.distance(a, b));
+        }
+
+    std::vector<EdgeId> ranked(topo_.numEdges());
+    for (EdgeId e = 0; e < topo_.numEdges(); ++e)
+        ranked[e] = e;
+    std::sort(ranked.begin(), ranked.end(), [&](EdgeId x, EdgeId y) {
+        const CouplingEdge &ex = topo_.edge(x);
+        const CouplingEdge &ey = topo_.edge(y);
+        return std::make_pair(ex.a, ex.b) < std::make_pair(ey.a, ey.b);
+    });
+    edgeRanks_.assign(n, {});
+    // The largest edge term; a NaN one sticks, and so makes M NaN.
+    double max_edge_term = 0.0;
+    for (size_t r = 0; r < ranked.size(); ++r) {
+        const CouplingEdge &e = topo_.edge(ranked[r]);
+        rankA_.push_back(e.a);
+        rankB_.push_back(e.b);
+        edgeTerm_.push_back(
+            options_.reliabilityWeight *
+            -std::log(machine_.cal().cnotReliability(ranked[r])));
+        if (std::isnan(edgeTerm_.back()) ||
+            std::fabs(edgeTerm_.back()) > max_edge_term)
+            max_edge_term = std::fabs(edgeTerm_.back());
         edgeRanks_[e.a].push_back(static_cast<int>(r));
         edgeRanks_[e.b].push_back(static_cast<int>(r));
     }
-    candidateBits_.assign((rankedEdges_.size() + 63) / 64, 0);
+    candidateBits_.assign((ranked.size() + 63) / 64, 0);
 
     // The window never holds more gates than the circuit has.
     const size_t max_window =
         std::min(static_cast<size_t>(options_.lookahead), num_cnots);
     double weight = 1.0;
+    double abs_weight_sum = 0.0;
     weightSum_.push_back(0.0);
-    for (size_t i = 0; i < max_window; ++i) {
+    for (size_t k = 0; k <= max_window; ++k) {
+        const double look =
+            k == 0 ? 0.0
+                   : diameter * abs_weight_sum / std::fabs(weightSum_[k]);
+        const double m = diameter +
+                         std::fabs(options_.lookaheadWeight) * look +
+                         max_edge_term;
+        epsilon_.push_back(
+            m <= std::numeric_limits<double>::max() / 8
+                ? (3.0 * static_cast<double>(k) + 24.0) *
+                      std::numeric_limits<double>::epsilon() * m
+                : std::numeric_limits<double>::infinity());
+        if (k == max_window)
+            break;
         weight_.push_back(weight);
         weightSum_.push_back(weightSum_.back() + weight);
+        abs_weight_sum += std::fabs(weight);
         weight *= options_.decay;
     }
 
-    frontAt_.resize(topo_.numQubits());
-    windowAt_.resize(topo_.numQubits());
+    partner_.resize(n + 1);
+    windowAt_.resize(n);
 }
 
 void
@@ -253,45 +368,85 @@ void
 SabreRoutePass::snapshot(const std::vector<CnotPair> &cnots,
                          const std::vector<HwQubit> &layout)
 {
-    std::fill(frontAt_.begin(), frontAt_.end(), -1);
-    frontGates_.clear();
+    std::fill(partner_.begin(), partner_.end(), sentinel_);
     frontSum_ = 0;
     for (int g : front_) {
-        FrontGate f{layout[cnots[g].a], layout[cnots[g].b], 0};
-        f.distance = topo_.distance(f.a, f.b);
-        frontAt_[f.a] = frontAt_[f.b] =
-            static_cast<int>(frontGates_.size());
-        frontGates_.push_back(f);
-        frontSum_ += f.distance;
+        const HwQubit a = layout[cnots[g].a];
+        const HwQubit b = layout[cnots[g].b];
+        partner_[a] = b;
+        partner_[b] = a;
+        frontSum_ += dist_[a * stride_ + b];
     }
 
-    for (const WindowGate &w : windowGates_) {
-        windowAt_[w.a].clear();
-        windowAt_[w.b].clear();
-    }
-    windowGates_.clear();
-    windowTerms_.clear();
+    for (std::vector<int> &at : windowAt_)
+        at.clear();
+    const size_t k = window_.size();
+    windowXor_.resize(k);
+    windowTerm_.resize(k);
+    sumBefore_.resize(k);
     windowSum_ = 0.0;
-    for (size_t i = 0; i < window_.size(); ++i) {
-        const CnotPair &c = cnots[window_[i]];
-        WindowGate w{layout[c.a], layout[c.b], 0.0, windowSum_};
-        w.term = weight_[i] * topo_.distance(w.a, w.b);
-        windowAt_[w.a].push_back(static_cast<int>(i));
-        windowAt_[w.b].push_back(static_cast<int>(i));
-        windowGates_.push_back(w);
-        windowTerms_.push_back(w.term);
-        windowSum_ += w.term;
+    for (size_t i = 0; i < k; ++i) {
+        const HwQubit a = layout[cnots[window_[i]].a];
+        const HwQubit b = layout[cnots[window_[i]].b];
+        windowXor_[i] = a ^ b;
+        windowTerm_[i] = weight_[i] * dist_[a * stride_ + b];
+        windowAt_[a].push_back(static_cast<int>(i));
+        windowAt_[b].push_back(static_cast<int>(i));
+    }
+    if (k > 0) {
+        sumBefore_[0] = 0.0;
+        refold(0);
     }
 }
 
 void
-SabreRoutePass::collectCandidates()
+SabreRoutePass::refold(size_t first)
+{
+    double sum = sumBefore_[first];
+    for (size_t i = first; i < windowTerm_.size(); ++i) {
+        sumBefore_[i] = sum;
+        sum += windowTerm_[i];
+    }
+    windowSum_ = sum;
+}
+
+void
+SabreRoutePass::updateSnapshot(HwQubit u, HwQubit v)
+{
+    frontSum_ += frontDelta(u, v);
+    const int pu = partner_[u];
+    const int pv = partner_[v];
+    partner_[u] = pv;
+    partner_[v] = pu;
+    partner_[pu] = v;
+    partner_[pv] = u;
+    partner_[sentinel_] = sentinel_;
+
+    // A gate on both u and v flips twice and keeps its XOR.
+    size_t first = windowTerm_.size();
+    for (HwQubit h : {u, v})
+        for (int i : windowAt_[h]) {
+            windowXor_[i] ^= u ^ v;
+            first = std::min(first, static_cast<size_t>(i));
+        }
+    std::swap(windowAt_[u], windowAt_[v]);
+    for (HwQubit h : {u, v})
+        for (int i : windowAt_[h])
+            windowTerm_[i] =
+                weight_[i] * dist_[h * stride_ + (windowXor_[i] ^ h)];
+    if (first < windowTerm_.size())
+        refold(first);
+}
+
+void
+SabreRoutePass::collectCandidates(const std::vector<CnotPair> &cnots,
+                                  const std::vector<HwQubit> &layout)
 {
     // Mark the rank of every edge touching a front gate, then read the
     // ranks back in order: deduplicated and (a, b)-ordered, no sort.
     std::fill(candidateBits_.begin(), candidateBits_.end(), 0);
-    for (const FrontGate &f : frontGates_)
-        for (HwQubit h : {f.a, f.b})
+    for (int g : front_)
+        for (HwQubit h : {layout[cnots[g].a], layout[cnots[g].b]})
             for (int r : edgeRanks_[h])
                 candidateBits_[r / 64] |= std::uint64_t{1} << (r % 64);
     candidates_.clear();
@@ -299,61 +454,142 @@ SabreRoutePass::collectCandidates()
         for (std::uint64_t bits = candidateBits_[w]; bits != 0;
              bits &= bits - 1)
             candidates_.push_back(
-                rankedEdges_[w * 64 + __builtin_ctzll(bits)]);
+                static_cast<int>(w * 64 + __builtin_ctzll(bits)));
+}
+
+int
+SabreRoutePass::frontDelta(HwQubit u, HwQubit v) const
+{
+    const int *du = &dist_[u * stride_];
+    const int *dv = &dist_[v * stride_];
+    const int pu = partner_[u];
+    const int pv = partner_[v];
+    return dv[pu] - du[pu] + du[pv] - dv[pv];
 }
 
 double
-SabreRoutePass::scoreSwap(EdgeId e)
+SabreRoutePass::exactScore(int r)
 {
-    const HwQubit u = topo_.edge(e).a;
-    const HwQubit v = topo_.edge(e).b;
-    auto moved = [&](HwQubit h) { return h == u ? v : h == v ? u : h; };
-    auto moved_distance = [&](HwQubit a, HwQubit b) {
-        return topo_.distance(moved(a), moved(b));
-    };
-
-    // Only the (at most two) front gates sitting on u or v move.
-    int front_sum = frontSum_;
-    const int fu = frontAt_[u];
-    const int fv = frontAt_[v];
-    for (int i : {fu, fv == fu ? -1 : fv}) {
-        if (i >= 0)
-            front_sum += moved_distance(frontGates_[i].a,
-                                        frontGates_[i].b) -
-                         frontGates_[i].distance;
-    }
-    const double front_cost = static_cast<double>(front_sum) /
-                              static_cast<double>(frontGates_.size());
+    const HwQubit u = rankA_[r];
+    const HwQubit v = rankB_[r];
+    const double front_cost =
+        static_cast<double>(frontSum_ + frontDelta(u, v)) /
+        static_cast<double>(front_.size());
 
     // The window sum resumes just before its first gate on u or v,
-    // adding the same terms in the same order as a full rescan.
+    // adding the same terms in the same order as a full rescan; the
+    // snapshot's terms are put back after.
     double look_cost = 0.0;
-    if (!windowGates_.empty()) {
+    const size_t k = windowTerm_.size();
+    if (k > 0) {
         const std::vector<int> &at_u = windowAt_[u];
         const std::vector<int> &at_v = windowAt_[v];
-        const size_t k = windowGates_.size();
         const size_t first =
             std::min(at_u.empty() ? k : static_cast<size_t>(at_u[0]),
                      at_v.empty() ? k : static_cast<size_t>(at_v[0]));
         double sum = windowSum_;
         if (first < k) {
-            for (const std::vector<int> *at : {&at_u, &at_v})
-                for (int i : *at)
-                    windowTerms_[i] =
-                        weight_[i] * moved_distance(windowGates_[i].a,
-                                                    windowGates_[i].b);
-            sum = windowGates_[first].sumBefore;
+            auto remeasure = [&](bool moved) {
+                for (HwQubit h : {u, v}) {
+                    const HwQubit to = !moved ? h : h == u ? v : u;
+                    for (int i : windowAt_[h]) {
+                        int o = windowXor_[i] ^ h;
+                        if (moved && o == to)
+                            o = h;
+                        windowTerm_[i] =
+                            weight_[i] * dist_[to * stride_ + o];
+                    }
+                }
+            };
+            remeasure(true);
+            sum = sumBefore_[first];
             for (size_t i = first; i < k; ++i)
-                sum += windowTerms_[i];
-            for (const std::vector<int> *at : {&at_u, &at_v})
-                for (int i : *at)
-                    windowTerms_[i] = windowGates_[i].term;
+                sum += windowTerm_[i];
+            remeasure(false);
         }
         look_cost = sum / weightSum_[k];
     }
 
     return front_cost + options_.lookaheadWeight * look_cost +
-           options_.reliabilityWeight * edgeCost_[e];
+           edgeTerm_[r];
+}
+
+size_t
+SabreRoutePass::chooseSwap(HwQubit last_a, HwQubit last_b)
+{
+    constexpr double kTie = 1e-12;
+    const size_t n = candidates_.size();
+    // Never immediately undo the previous exchange unless it is the
+    // only move available.
+    auto skipped = [&](size_t i) {
+        return rankA_[candidates_[i]] == last_a &&
+               rankB_[candidates_[i]] == last_b && n > 1;
+    };
+
+    const size_t k = windowTerm_.size();
+    const double inv_front = 1.0 / static_cast<double>(front_.size());
+    const double look_scale =
+        k > 0 ? options_.lookaheadWeight / weightSum_[k] : 0.0;
+    const double base = frontSum_ * inv_front + look_scale * windowSum_;
+    const double eps = epsilon_[k];
+
+    keys_.resize(n);
+    size_t first = n;
+    double first_key = std::numeric_limits<double>::infinity();
+    double second_key = first_key;
+    bool nan_key = false;
+    for (size_t i = 0; i < n; ++i) {
+        if (skipped(i))
+            continue;
+        const int r = candidates_[i];
+        const HwQubit u = rankA_[r];
+        const HwQubit v = rankB_[r];
+        const int *du = &dist_[u * stride_];
+        const int *dv = &dist_[v * stride_];
+        double dw = 0.0;
+        for (int g : windowAt_[u]) {
+            const int o = windowXor_[g] ^ u;
+            dw += weight_[g] * (dv[o == v ? u : o] - du[o]);
+        }
+        for (int g : windowAt_[v]) {
+            const int o = windowXor_[g] ^ v;
+            dw += weight_[g] * (du[o == u ? v : o] - dv[o]);
+        }
+        const double key = base + frontDelta(u, v) * inv_front +
+                           look_scale * dw + edgeTerm_[r];
+        keys_[i] = key;
+        nan_key |= std::isnan(key);
+        if (key < first_key) {
+            second_key = first_key;
+            first_key = key;
+            first = i;
+        } else if (key < second_key) {
+            second_key = key;
+        }
+    }
+    // (a): a clear winner is what the scan would reset to and keep.
+    if (!nan_key && first < n && second_key - first_key > kTie + 2 * eps)
+        return first;
+
+    // (c): the reference scan, scoring only what may act on the best.
+    double best_score = std::numeric_limits<double>::infinity();
+    best_.clear();
+    for (size_t i = 0; i < n; ++i) {
+        if (skipped(i) || keys_[i] > (best_score + kTie) + eps)
+            continue;
+        double s = exactScore(candidates_[i]);
+        if (s < best_score - kTie) {
+            best_score = s;
+            best_.assign(1, i);
+        } else if (s < best_score + kTie) {
+            best_.push_back(i);
+        }
+    }
+    QC_ASSERT(!best_.empty(), "sabre swap search found no candidate");
+    return best_.size() == 1
+               ? best_.front()
+               : best_[static_cast<size_t>(rng_.uniformInt(
+                     0, static_cast<int>(best_.size()) - 1))];
 }
 
 void
@@ -382,6 +618,9 @@ SabreRoutePass::run(const std::vector<CnotPair> &cnots,
     int stalled_swaps = 0;
     const int stall_limit = 2 * topo_.numQubits() + 8;
     HwQubit last_a = kInvalidQubit, last_b = kInvalidQubit;
+    // The snapshot must be rebuilt; while it is not, last_a and last_b
+    // are the exchange it was last updated for.
+    bool fresh = true;
 
     // The frontier and the lookahead window only change when a gate
     // retires, never when a SWAP moves qubits, so both are recomputed
@@ -390,33 +629,38 @@ SabreRoutePass::run(const std::vector<CnotPair> &cnots,
     collectWindow(cnots);
     while (executed < cnots.size()) {
         // Retire every executable front gate until a fixpoint.
-        bool retired = false;
-        bool progressed = true;
-        while (progressed) {
-            progressed = false;
-            for (int g : front_) {
-                if (!topo_.adjacent(layout[cnots[g].a],
-                                    layout[cnots[g].b]))
-                    continue;
-                retire(g, cnots);
-                ++executed;
-                progressed = true;
+        if (fresh || frontExecutableAt(last_a) ||
+            frontExecutableAt(last_b)) {
+            bool retired = false;
+            bool progressed = true;
+            while (progressed) {
+                progressed = false;
+                for (int g : front_) {
+                    if (!topo_.adjacent(layout[cnots[g].a],
+                                        layout[cnots[g].b]))
+                        continue;
+                    retire(g, cnots);
+                    ++executed;
+                    progressed = true;
+                }
+                if (progressed) {
+                    retired = true;
+                    stalled_swaps = 0;
+                    last_a = last_b = kInvalidQubit;
+                    while (firstPending_ <
+                               static_cast<int>(cnots.size()) &&
+                           done_[firstPending_])
+                        ++firstPending_;
+                    collectFront(cnots);
+                }
             }
-            if (progressed) {
-                retired = true;
-                stalled_swaps = 0;
-                last_a = last_b = kInvalidQubit;
-                while (firstPending_ <
-                           static_cast<int>(cnots.size()) &&
-                       done_[firstPending_])
-                    ++firstPending_;
-                collectFront(cnots);
+            if (executed == cnots.size())
+                break;
+            if (retired) {
+                collectWindow(cnots);
+                fresh = true;
             }
         }
-        if (executed == cnots.size())
-            break;
-        if (retired)
-            collectWindow(cnots);
 
         QC_ASSERT(!front_.empty(), "sabre frontier empty with CNOTs "
                                    "pending");
@@ -432,40 +676,22 @@ SabreRoutePass::run(const std::vector<CnotPair> &cnots,
                 applySwap(path[k], path[k + 1], layout);
             stalled_swaps = 0;
             last_a = last_b = kInvalidQubit;
+            fresh = true;
             continue;
         }
 
         // Candidate exchanges: every coupling edge touching a front
         // gate's current position, deduplicated and (a, b)-ordered.
-        snapshot(cnots, layout);
-        collectCandidates();
+        if (fresh)
+            snapshot(cnots, layout);
+        fresh = false;
+        collectCandidates(cnots, layout);
 
-        double best_score = std::numeric_limits<double>::infinity();
-        best_.clear();
-        for (size_t i = 0; i < candidates_.size(); ++i) {
-            const CouplingEdge &c = topo_.edge(candidates_[i]);
-            // Never immediately undo the previous exchange unless it
-            // is the only move available.
-            if (c.a == last_a && c.b == last_b && candidates_.size() > 1)
-                continue;
-            double s = scoreSwap(candidates_[i]);
-            if (s < best_score - 1e-12) {
-                best_score = s;
-                best_.assign(1, i);
-            } else if (s < best_score + 1e-12) {
-                best_.push_back(i);
-            }
-        }
-        QC_ASSERT(!best_.empty(), "sabre swap search found no candidate");
-        size_t pick =
-            best_.size() == 1
-                ? best_.front()
-                : best_[static_cast<size_t>(rng_.uniformInt(
-                      0, static_cast<int>(best_.size()) - 1))];
-        const CouplingEdge &chosen = topo_.edge(candidates_[pick]);
-        applySwap(chosen.a, chosen.b, layout);
-        last_a = chosen.a;
-        last_b = chosen.b;
+        const int chosen = candidates_[chooseSwap(last_a, last_b)];
+        last_a = rankA_[chosen];
+        last_b = rankB_[chosen];
+        applySwap(last_a, last_b, layout);
+        updateSnapshot(last_a, last_b);
         ++stalled_swaps;
     }
 
