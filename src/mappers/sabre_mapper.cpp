@@ -628,7 +628,11 @@ SabreRoutePass::run(const std::vector<CnotPair> &cnots,
     collectFront(cnots);
     collectWindow(cnots);
     while (executed < cnots.size()) {
-        // Retire every executable front gate until a fixpoint.
+        // Retire every executable front gate until a fixpoint. A SWAP
+        // moves only the front gates on its pair, so after one only
+        // those can have become executable.
+        QC_ASSERT(fresh || last_a != kInvalidQubit,
+                  "sabre snapshot updated for no exchange");
         if (fresh || frontExecutableAt(last_a) ||
             frontExecutableAt(last_b)) {
             bool retired = false;

@@ -313,6 +313,54 @@ TEST(SabrePlacement, DecisionsMatchDigests)
     }
 }
 
+/**
+ * Near-ties at the scan's tolerance, pinned by one digest. At these
+ * reliabilityWeight values some candidates tie in every term but the
+ * edge term, which then separates them by about 1e-12, the scan's tie
+ * tolerance, so a key and its exact score can fall on opposite sides
+ * of it. Found by sweeping reliabilityWeight (3e-11 to 3e-9) against a
+ * build whose key error bound was 0, which moved each of these
+ * placements; the parent of the keyed SWAP step placed all of them as
+ * pinned here.
+ */
+TEST(SabrePlacement, NearTieEdgeTermsMatchDigest)
+{
+    struct NearTie
+    {
+        const char *topology;
+        int day;
+        int lookahead;
+        double reliabilityWeight;
+    };
+    const NearTie cases[] = {
+        {"grid:2x8", 0, 0, 1.2127964620870331e-10},
+        {"grid:2x8", 1, 20, 5.3759421671260013e-11},
+        {"heavyhex:3", 0, 0, 4.9787607223126818e-11},
+        {"linear:12", 1, 0, 1.2699537984264626e-10},
+        {"ring:16", 1, 0, 1.0402105513575949e-10},
+    };
+    Fingerprint fp;
+    for (const NearTie &c : cases) {
+        Topology topo = topologyFromSpec(c.topology);
+        Machine machine = *machineFor(topo, c.day);
+        SabreOptions o;
+        o.lookahead = c.lookahead;
+        o.reliabilityWeight = c.reliabilityWeight;
+        for (int p = 0; p < 3; ++p) {
+            const int q = std::min(topo.numQubits(), 8 + 4 * p);
+            const std::uint64_t seed = 70 + p;
+            Circuit prog = p % 2 == 1
+                               ? makeDenseCnotCircuit(q, 256, seed, 600)
+                               : makeRandomCircuit({q, 256, seed, true});
+            SabrePlacementResult r =
+                sabrePlacementDetailed(machine, prog, o);
+            fp.mixVector(r.layout).mix(r.predictedSuccess);
+        }
+    }
+    EXPECT_EQ(fp.value(), 0xafdafbd73cf7de25ull)
+        << std::hex << "digest 0x" << fp.value();
+}
+
 class SabreNonGrid : public ::testing::TestWithParam<const char *>
 {
 };
