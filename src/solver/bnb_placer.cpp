@@ -9,6 +9,16 @@
 
 namespace qc {
 
+namespace {
+
+/**
+ * Search nodes between two budget polls. A node costs about 15 us on a
+ * 16-qubit program on grid:8x8, so a poll comes every ~15 ms there.
+ */
+constexpr std::int64_t kPollNodes = 1024;
+
+} // namespace
+
 BnbPlacer::BnbPlacer(const Machine &machine, const Circuit &prog,
                      BnbOptions options)
     : machine_(machine),
@@ -158,6 +168,12 @@ BnbPlacer::dfs(int level, double value)
     // Never trip the limit before the first (greedy) leaf: solve()
     // must always return a valid placement.
     if (++nodes_ > options_.nodeLimit && !best_.empty()) {
+        hitLimit_ = true;
+        return;
+    }
+    if (nodes_ % kPollNodes == 0 && !best_.empty() &&
+        (isCancelled(options_.cancel) ||
+         std::chrono::steady_clock::now() >= options_.deadline)) {
         hitLimit_ = true;
         return;
     }

@@ -14,12 +14,14 @@
 #ifndef QC_SOLVER_BNB_PLACER_HPP
 #define QC_SOLVER_BNB_PLACER_HPP
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <vector>
 
 #include "ir/circuit.hpp"
 #include "machine/machine.hpp"
+#include "support/cancel.hpp"
 
 namespace qc {
 
@@ -45,6 +47,15 @@ struct BnbOptions
      * one-bend-path bound re-scores each one exactly.
      */
     std::function<void(const std::vector<HwQubit> &)> visitLeaf;
+
+    /**
+     * The caller's budget, polled every 1,024 nodes: the search stops
+     * as at the node cap once the deadline passes or the token fires.
+     * R-SMT*'s warm start passes its solver deadline and cancel token.
+     */
+    std::chrono::steady_clock::time_point deadline =
+        std::chrono::steady_clock::time_point::max();
+    const CancelToken *cancel = nullptr;
 };
 
 /** Result of a branch-and-bound solve. */
@@ -53,7 +64,7 @@ struct BnbResult
     std::vector<HwQubit> layout; ///< program qubit -> hardware qubit
     double objective = 0.0;      ///< Eq. 12 value of the layout
     std::int64_t nodesExplored = 0;
-    bool optimal = false;        ///< false iff the node limit tripped
+    bool optimal = false; ///< false iff the node cap or budget tripped
 };
 
 /**

@@ -423,8 +423,12 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
         BnbOptions bnb_opts;
         bnb_opts.readoutWeight = options.readoutWeight;
         bnb_opts.nodeLimit = 2'000'000;
+        bnb_opts.deadline = deadline;
+        bnb_opts.cancel = options.cancel;
         BnbPlacer bnb(machine, prog, bnb_opts);
         BnbResult br = bnb.solve();
+        if (isCancelled(options.cancel))
+            return cancelled_solution();
         // Integer cost of the BnB layout under the model's tables.
         std::int64_t cost = 0;
         for (int i = 0; i < n_gates; ++i) {

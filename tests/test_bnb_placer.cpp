@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <functional>
+#include <thread>
 
 #include "solver/bnb_placer.hpp"
 #include "solver/objective.hpp"
@@ -158,6 +160,50 @@ TEST(BnbPlacer, NodeLimitReportsNonOptimal)
     BnbResult r = placer.solve();
     EXPECT_FALSE(r.optimal);
     validateLayout(r.layout, b.circuit.numQubits(), m.numQubits());
+}
+
+/**
+ * The caller's budget bounds the search. On this program (grid:8x8,
+ * day 0) the 2,000,000-node search R-SMT*'s warm start runs takes
+ * about 30 s; a 200 ms deadline, or a token fired after 200 ms, must
+ * stop it within about a second with the best layout so far, unproven.
+ */
+TEST(BnbPlacer, StopsAtItsDeadlineOrWhenCancelled)
+{
+    GridTopology topo(8, 8);
+    CalibrationModel model(topo, kSeed);
+    Machine m(topo, model.forDay(0));
+    Circuit prog = makeRandomCircuit({16, 64, 2, true});
+    using Clock = std::chrono::steady_clock;
+    const auto budget = std::chrono::milliseconds(200);
+
+    auto search = [&](BnbOptions opts, const char *what) {
+        SCOPED_TRACE(what);
+        opts.nodeLimit = 2'000'000;
+        const auto t0 = Clock::now();
+        std::thread canceller;
+        if (const CancelToken *token = opts.cancel)
+            canceller = std::thread([token, t0, budget] {
+                std::this_thread::sleep_until(t0 + budget);
+                token->requestCancel("test");
+            });
+        else
+            opts.deadline = t0 + budget;
+        BnbResult r = BnbPlacer(m, prog, opts).solve();
+        const double seconds =
+            std::chrono::duration<double>(Clock::now() - t0).count();
+        if (canceller.joinable())
+            canceller.join();
+        EXPECT_LT(seconds, 1.2);
+        EXPECT_FALSE(r.optimal);
+        EXPECT_LT(r.nodesExplored, 2'000'000);
+        validateLayout(r.layout, prog.numQubits(), m.numQubits());
+    };
+    search(BnbOptions{}, "deadline");
+    CancelToken token;
+    BnbOptions cancellable;
+    cancellable.cancel = &token;
+    search(cancellable, "token");
 }
 
 TEST(BnbPlacer, RejectsOversizedPrograms)
