@@ -128,7 +128,11 @@ def check_metrics(label, current, baseline, args, failures):
                 key.endswith("_" + SUCCESS_FLOOR_SUFFIX):
             # Quality floor: predicted success must not regress below
             # the committed baseline (minus the explicit allowance).
-            floor = base_val * (1.0 - args.success_threshold) - 1e-9
+            # The 1e-9 slack absorbs the JSON's 12-digit rounding; it is
+            # relative, because a stream program's prediction can sit
+            # far below 1e-9.
+            floor = base_val * (1.0 - args.success_threshold) \
+                * (1.0 - 1e-9)
             if cur_val < floor:
                 msg = (f"{label}: {key} {cur_val:.6g} fell below "
                        f"baseline {base_val:.6g} "
