@@ -82,36 +82,37 @@ cnotSequence(const Circuit &prog)
  * exact; a gate's other endpoint is a ^ b ^ u), and the reciprocals
  * hoisted per step.
  *
- * (b) The bound epsilon. Let u = 2^-53 (unit roundoff), D the
+ * (a) Separation. When the smallest key K* trails every other key by
+ *     more than tau + 2 epsilon, epsilon as in (b), the scan ends with
+ *     that candidate alone and draws nothing. In real numbers every
+ *     other S_j then exceeds S* + tau by more than the rounding of
+ *     fl(S_j - tau) and of fl(S* + tau). The running best before the
+ *     scan reaches the winner is infinity or some earlier S_j, so the
+ *     winner resets the set to itself (S* is finite because K* and
+ *     epsilon are); every later S_j is at least fl(S* + tau), neither
+ *     a reset nor a tie. A one-element set draws nothing. The skipped
+ *     previous exchange gets no key and is outside the scan in both.
+ *     The step then commits the winner without scoring anything
+ *     exactly.
+ * (b) The bound epsilon. Let mu = 2^-53 (the unit roundoff), D the
  *     topology's diameter and M = D + |lambda| * D * sum|w_i| / |W| +
  *     max_e |rho * c_e|. M bounds every front cost, window cost, edge
  *     term, score and key of the step, and every partial sum. S rounds
  *     the front division, at most k - 1 additions of its window fold
  *     (within gamma_{k-1} * sum|t_i|, Higham, Accuracy and Stability
  *     of Numerical Algorithms, 2002, sec. 4.2), the window division,
- *     the product by lambda and two final sums: within (k + 6) u M of
+ *     the product by lambda and two final sums: within (k + 6) mu M of
  *     its real value. K rounds the k-term fold behind X, the k new and
  *     old term products its delta stands for, at most 2k - 1 additions
  *     in dw, two reciprocals, four products and four sums: within
- *     (3k + 18) u M. So |K - S| <= E = (4k + 24) u M, and the rounding
- *     of the thresholds below, fl(best +- tau) and the tests
- *     themselves, adds at most 2 u M more. epsilon =
- *     (3k + 24) * DBL_EPSILON * M = (6k + 48) u M covers both with
+ *     (3k + 18) mu M. So |K - S| <= E = (4k + 24) mu M, and the
+ *     rounding of the thresholds, fl(best +- tau) and the tests
+ *     themselves, adds at most 2 mu M more. epsilon =
+ *     (3k + 24) * DBL_EPSILON * M = (6k + 48) mu M covers both with
  *     half again to spare, which also absorbs M's own rounding and
  *     underflow (at most 2^-1075 per operation, against M >= 2). When
  *     M is not finite or exceeds DBL_MAX / 8, epsilon is infinite and
  *     every step takes the fallback (c).
- * (a) Separation. When the smallest key K* trails every other key by
- *     more than tau + 2 epsilon, the scan ends with that candidate
- *     alone and draws nothing. In real numbers every other S_j then
- *     exceeds S* + tau by more than the rounding of fl(S_j - tau) and
- *     of fl(S* + tau). The running best before the scan reaches the
- *     winner is infinity or some earlier S_j, so the winner resets the
- *     set to itself (S* is finite because K* and epsilon are); every
- *     later S_j is at least fl(S* + tau), neither a reset nor a tie.
- *     A one-element set draws nothing. The skipped previous exchange
- *     gets no key and is outside the scan in both. The step then
- *     commits the winner without scoring anything exactly.
  * (c) Lazy fallback. Otherwise the step runs the reference scan, but
  *     scores a candidate exactly only when K <= fl(best + tau) +
  *     epsilon, best the running exact best. A candidate above that has
