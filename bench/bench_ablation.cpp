@@ -58,17 +58,22 @@ runSabreStudy(std::uint64_t seed, const std::string &json_path)
         CompiledProgram greedy;
         CompiledProgram sabre;
     };
-    std::vector<Row> rows;
-    for (const TopoCase &tc : topos) {
-        CalibrationModel model(tc.topo, seed);
-        auto machine = std::make_shared<const Machine>(
-            tc.topo, model.forDay(0));
+    // Both bundles on a topology's day-0 machine.
+    auto day0_pipelines = [seed](const Topology &topo) {
+        CalibrationModel model(topo, seed);
+        auto machine =
+            std::make_shared<const Machine>(topo, model.forDay(0));
         CompilerOptions greedy;
         greedy.mapper = MapperKind::GreedyETrack;
         CompilerOptions sabre;
         sabre.mapper = MapperKind::Sabre;
-        Pipeline greedy_pipe = standardPipeline(machine, greedy);
-        Pipeline sabre_pipe = standardPipeline(machine, sabre);
+        return std::make_pair(standardPipeline(machine, greedy),
+                              standardPipeline(machine, sabre));
+    };
+
+    std::vector<Row> rows;
+    for (const TopoCase &tc : topos) {
+        auto [greedy_pipe, sabre_pipe] = day0_pipelines(tc.topo);
         for (const Benchmark &b : paperBenchmarks())
             rows.push_back({std::string(tc.label) + "/" + b.name,
                             greedy_pipe.compile(b.circuit),
@@ -78,19 +83,11 @@ runSabreStudy(std::uint64_t seed, const std::string &json_path)
     // heuristic_stream-shaped programs on grid:8x8, day 0: there a
     // Sabre route pass takes hundreds of SWAP steps, against a few on
     // a Table 2 kernel. Kept out of the totals: their predictions run
-    // down to ~2^-650, and the aggregate product would underflow.
+    // down to ~1e-108, and the aggregate product would underflow.
     std::vector<Row> stream_rows;
     {
-        GridTopology topo(8, 8);
-        CalibrationModel model(topo, seed);
-        auto machine =
-            std::make_shared<const Machine>(topo, model.forDay(0));
-        CompilerOptions greedy;
-        greedy.mapper = MapperKind::GreedyETrack;
-        CompilerOptions sabre;
-        sabre.mapper = MapperKind::Sabre;
-        Pipeline greedy_pipe = standardPipeline(machine, greedy);
-        Pipeline sabre_pipe = standardPipeline(machine, sabre);
+        auto [greedy_pipe, sabre_pipe] =
+            day0_pipelines(GridTopology(8, 8));
         struct StreamCase
         {
             int qubits;
