@@ -189,7 +189,14 @@ TEST(BnbPlacer, StopsAtItsDeadlineOrWhenCancelled)
             });
         else
             opts.deadline = t0 + budget;
-        BnbResult r = BnbPlacer(m, prog, opts).solve();
+        BnbResult r;
+        try {
+            r = BnbPlacer(m, prog, opts).solve();
+        } catch (...) {
+            if (canceller.joinable())
+                canceller.join();
+            throw;
+        }
         const double seconds =
             std::chrono::duration<double>(Clock::now() - t0).count();
         if (canceller.joinable())
