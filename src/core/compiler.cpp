@@ -1,9 +1,14 @@
 #include "compiler.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <limits>
+#include <type_traits>
 
 #include "core/passes.hpp"
+#include "core/portfolio.hpp"
 #include "mappers/smt_mapper.hpp"
+#include "support/cli.hpp"
 #include "support/logging.hpp"
 
 namespace qc {
@@ -86,16 +91,6 @@ mapperKindFromName(const std::string &name)
              "Sabre)");
 }
 
-const char *
-portfolioTieBreakName(PortfolioTieBreak tb)
-{
-    switch (tb) {
-      case PortfolioTieBreak::BundleOrder: return "bundle-order";
-      case PortfolioTieBreak::ShortestDuration: return "shortest-duration";
-    }
-    QC_PANIC("unknown portfolio tie-break");
-}
-
 std::vector<MapperKind>
 resolvedPortfolioBundles(const PortfolioOptions &options)
 {
@@ -103,6 +98,84 @@ resolvedPortfolioBundles(const PortfolioOptions &options)
         return options.bundles;
     return std::vector<MapperKind>(std::begin(kAllMapperKinds),
                                    std::end(kAllMapperKinds));
+}
+
+namespace {
+
+/** A whole-token number of type T, or FatalError "bad <key> '<value>'". */
+template <typename T>
+T
+parseOptionNumber(std::string_view key, const std::string &value)
+{
+    if constexpr (std::is_floating_point_v<T>) {
+        double v = 0.0;
+        if (cli::strictParseDouble(value, v))
+            return v;
+    } else {
+        long long v = 0;
+        if (cli::strictParseLongLong(value, v) &&
+            v >= std::numeric_limits<T>::min() &&
+            v <= static_cast<long long>(std::numeric_limits<T>::max()))
+            return static_cast<T>(v);
+    }
+    QC_FATAL("bad ", key, " '", value, "'");
+}
+
+} // namespace
+
+void
+setCompilerOption(CompilerOptions &options, std::string_view key,
+                  const std::string &value)
+{
+    if (key == "mapper") {
+        options.mapper = mapperKindFromName(value);
+    } else if (key == "omega") {
+        options.readoutWeight = parseOptionNumber<double>(key, value);
+    } else if (key == "timeout") {
+        options.smtTimeoutMs = parseOptionNumber<unsigned>(key, value);
+    } else if (key == "sabre_iterations") {
+        options.sabreIterations = parseOptionNumber<int>(key, value);
+    } else if (key == "sabre_lookahead") {
+        options.sabreLookahead = parseOptionNumber<int>(key, value);
+    } else if (key == "portfolio") {
+        options.portfolio.enabled = true;
+        options.portfolio.bundles = value == "all" || value == "1"
+                                        ? std::vector<MapperKind>{}
+                                        : parsePortfolioBundles(value);
+    } else if (key == "portfolio_deadline_ms") {
+        options.portfolio.deadlineMs =
+            parseOptionNumber<unsigned>(key, value);
+    } else {
+        QC_FATAL("unknown option '", key, "'");
+    }
+}
+
+bool
+compilerOptionFlag(int argc, char **argv, int &i, std::string &key,
+                   std::string &value)
+{
+    const std::string_view arg = argv[i];
+    if (arg.substr(0, 2) != "--")
+        return false;
+    const std::size_t eq = arg.find('=');
+    std::string name(eq == std::string_view::npos
+                         ? arg.substr(2)
+                         : arg.substr(2, eq - 2));
+    std::replace(name.begin(), name.end(), '-', '_');
+    if (std::find(std::begin(kCompilerOptionKeys),
+                  std::end(kCompilerOptionKeys),
+                  name) == std::end(kCompilerOptionKeys))
+        return false;
+    if (eq != std::string_view::npos)
+        value = arg.substr(eq + 1);
+    else if (name == "portfolio")
+        value = "all";
+    else if (i + 1 < argc)
+        value = argv[++i];
+    else
+        throw cli::UsageError("missing value for " + std::string(arg));
+    key = std::move(name);
+    return true;
 }
 
 Pipeline

@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/pipeline.hpp"
@@ -60,14 +61,6 @@ const char *mapperKindName(MapperKind k);
  */
 MapperKind mapperKindFromName(const std::string &name);
 
-/** Tie-break among portfolio candidates with equal predicted success. */
-enum class PortfolioTieBreak {
-    BundleOrder,      ///< lower bundle index wins (default)
-    ShortestDuration, ///< shorter makespan wins, then bundle order
-};
-
-const char *portfolioTieBreakName(PortfolioTieBreak tb);
-
 /**
  * Portfolio-racing configuration (core/portfolio.hpp). Lives inside
  * CompilerOptions so it rides through CompileRequest, the daemon
@@ -90,8 +83,6 @@ struct PortfolioOptions
      * win) instead of holding the whole race hostage. 0 = no cap.
      */
     unsigned deadlineMs = 10'000;
-
-    PortfolioTieBreak tieBreak = PortfolioTieBreak::BundleOrder;
 
     /**
      * Cap on pool workers a portfolio job may borrow for its
@@ -143,6 +134,48 @@ struct CompilerOptions
  */
 std::vector<MapperKind> resolvedPortfolioBundles(
     const PortfolioOptions &options);
+
+/**
+ * @name Options codec
+ *
+ * The one key=value text form of CompilerOptions, shared by naqc's
+ * flags, naqcd's submit arguments and naqc-client: `mapper`
+ * (mapperKindFromName), `omega` (readoutWeight), `timeout`
+ * (smtTimeoutMs), `sabre_iterations`, `sabre_lookahead`, `portfolio`
+ * (`all`, or the `1` a bare protocol flag reads as, races every
+ * bundle; any other value is a parsePortfolioBundles list) and
+ * `portfolio_deadline_ms`.
+ * @{
+ */
+
+/** Every key setCompilerOption accepts. */
+inline constexpr std::string_view kCompilerOptionKeys[] = {
+    "mapper",    "omega", "timeout", "sabre_iterations", "sabre_lookahead",
+    "portfolio", "portfolio_deadline_ms"};
+
+/**
+ * Set the field `key` names from `value`. Numbers parse strictly (the
+ * whole token, in the field's range), but the check is syntax only:
+ * range rules such as R-SMT*'s omega in [0, 1] or Sabre's
+ * non-negative counts stay with the stages that enforce them.
+ * Throws FatalError "bad <key> '<value>'" for a malformed number,
+ * the name parser's error for a bad mapper or bundle list, and
+ * "unknown option '<key>'" for a key not in kCompilerOptionKeys.
+ */
+void setCompilerOption(CompilerOptions &options, std::string_view key,
+                       const std::string &value);
+
+/**
+ * The codec key and value the command-line flag argv[i] spells:
+ * `--k-e-y V` or `--k-e-y=V` for key `k_e_y`, and a bare
+ * `--portfolio` for `portfolio=all`. Advances i past a separate
+ * value. False, with i unchanged, when argv[i] names no codec key;
+ * throws cli::UsageError when the value is missing.
+ */
+bool compilerOptionFlag(int argc, char **argv, int &i, std::string &key,
+                        std::string &value);
+
+/** @} */
 
 /**
  * The Table 1 bundle for `options.mapper` as a pass pipeline:

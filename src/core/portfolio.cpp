@@ -269,7 +269,6 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
     for (size_t j = 0; j < n; ++j)
         bounds[j] = routesOnOneBendPaths(bundles_[j]) ? out.oneBendBound
                                                       : out.upperBound;
-    const PortfolioTieBreak tiebreak = options_.portfolio.tieBreak;
 
     struct Slot
     {
@@ -295,12 +294,10 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
     // Sound early cancellation: a completed eligible candidate i with
     // prediction p provably beats an unfinished j when p > ub_j (j
     // cannot predict above its bound), or when p == ub_j and i
-    // outranks j under the BundleOrder tie-break (j can at best tie,
-    // then loses the tie-break). Under ShortestDuration a tie at the
-    // bound could still be won by a shorter j, so only the strict
-    // form applies there. Cancelled candidates therefore never
-    // change the selected winner — timing decides how much work the
-    // losers burn, never who wins.
+    // outranks j in the tie rank (j can at best tie, then loses the
+    // tie). Cancelled candidates therefore never change the selected
+    // winner — timing decides how much work the losers burn, never
+    // who wins.
     auto noteCompletion = [&](size_t i) {
         std::lock_guard<std::mutex> lock(mu);
         slots[i].done = true;
@@ -313,8 +310,7 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
                 continue;
             const bool beats =
                 p > bounds[j] ||
-                (p == bounds[j] && tieRank_[i] < tieRank_[j] &&
-                 tiebreak == PortfolioTieBreak::BundleOrder);
+                (p == bounds[j] && tieRank_[i] < tieRank_[j]);
             if (beats)
                 slots[j].token.requestCancel(
                     std::string("outpaced by ") +
@@ -359,9 +355,6 @@ PortfolioPass::run(const Circuit &prog, PortfolioExecutor *executor,
         const CompiledProgram &b = slots[j].result.program;
         if (a.predictedSuccess != b.predictedSuccess)
             return a.predictedSuccess > b.predictedSuccess;
-        if (tiebreak == PortfolioTieBreak::ShortestDuration &&
-            a.duration != b.duration)
-            return a.duration < b.duration;
         return tieRank_[i] < tieRank_[j];
     };
 

@@ -19,15 +19,14 @@
  *    wall-clock luck and are excluded; so are degraded fallbacks and
  *    cancelled runs, which produce no program at all).
  *  - Selection happens after the race over the full candidate array:
- *    max predicted success, ties broken by PortfolioTieBreak
- *    (default: the tie rank below).
+ *    max predicted success, ties broken by the tie rank below.
  *  - Early cancellation only kills *provable* losers. A completed
  *    eligible candidate i with predicted success p cancels an
  *    unfinished candidate j only when p > ub_j, or when p == ub_j and
- *    i outranks j under the BundleOrder tie-break (j can at best tie
- *    and then loses the tie-break anyway). ub_j is candidate j's own
- *    upper bound: U (below) for the bundles whose routes all come
- *    from the machine's one-bend route set — Qiskit, T-SMT, T-SMT*
+ *    i outranks j in the tie rank (j can at best tie and then loses
+ *    the tie anyway). ub_j is candidate j's own upper bound: U
+ *    (below) for the bundles whose routes all come from the
+ *    machine's one-bend route set — Qiskit, T-SMT, T-SMT*
  *    and R-SMT* — and circuitSuccessUpperBound for the rest: GreedyV*
  *    and GreedyE* route along Dijkstra paths, which can beat every
  *    one-bend route, and GreedyE*+track and Sabre route live.

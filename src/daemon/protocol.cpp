@@ -1,7 +1,8 @@
 #include "protocol.hpp"
 
 #include <cctype>
-#include <cstdlib>
+
+#include "support/cli.hpp"
 
 namespace qc::daemon {
 
@@ -32,17 +33,15 @@ Request::get(const std::string &key, const std::string &fallback) const
     return it == args.end() ? fallback : it->second;
 }
 
-long long
+std::optional<long long>
 Request::getInt(const std::string &key, long long fallback) const
 {
     auto it = args.find(key);
-    if (it == args.end() || it->second.empty())
+    if (it == args.end())
         return fallback;
-    const char *text = it->second.c_str();
-    char *end = nullptr;
-    long long value = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0')
-        return fallback;
+    long long value = 0;
+    if (!cli::strictParseLongLong(it->second, value))
+        return std::nullopt;
     return value;
 }
 

@@ -16,6 +16,7 @@
 #define QC_DAEMON_PROTOCOL_HPP
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,8 +35,12 @@ struct Request
     std::string get(const std::string &key,
                     const std::string &fallback = "") const;
 
-    /** Integer value for `key`; `fallback` when absent or malformed. */
-    long long getInt(const std::string &key, long long fallback) const;
+    /**
+     * Integer value for `key`: `fallback` when absent, std::nullopt
+     * when present but not one whole base-10 integer ("3x", "yes").
+     */
+    std::optional<long long> getInt(const std::string &key,
+                                    long long fallback) const;
 
     bool has(const std::string &key) const
     {

@@ -722,6 +722,15 @@ sabrePlacementDetailed(const Machine &machine, const Circuit &prog,
     if (options.lookahead < 0)
         QC_FATAL("sabre lookahead must be >= 0, got ",
                  options.lookahead);
+    // Decay -1 zeroes the window weights' sum over an even window, and
+    // a non-finite weight makes every SWAP score NaN: no candidate.
+    if (!std::isfinite(options.decay) || options.decay < 0.0 ||
+        !std::isfinite(options.lookaheadWeight) ||
+        !std::isfinite(options.reliabilityWeight))
+        QC_FATAL("sabre decay must be finite and >= 0 and its weights "
+                 "finite, got decay ", options.decay, ", lookahead "
+                 "weight ", options.lookaheadWeight,
+                 ", reliability weight ", options.reliabilityWeight);
 
     SabrePlacementResult result;
     result.layout = options.greedySeed

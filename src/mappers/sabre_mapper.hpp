@@ -47,16 +47,19 @@ struct SabreOptions
      */
     int lookahead = 20;
 
-    /** Weight of the (normalized) lookahead term in the SWAP score. */
+    /**
+     * Weight of the (normalized) lookahead term in the SWAP score
+     * (finite).
+     */
     double lookaheadWeight = 0.5;
 
-    /** Per-rank geometric decay inside the lookahead window. */
+    /** Per-rank geometric decay inside the lookahead window (>= 0). */
     double decay = 0.7;
 
     /**
      * Weight of the -log(swap-edge reliability) term: larger values
      * route movement around error-prone couplings at the cost of
-     * extra hops.
+     * extra hops (finite).
      */
     double reliabilityWeight = 0.05;
 

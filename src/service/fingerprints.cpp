@@ -71,7 +71,7 @@ fingerprintOptions(const CompilerOptions &options)
         .mix(options.sabreLookahead);
     // Portfolio knobs change which program comes back, so a portfolio
     // result must never alias a single-bundle cache entry (nor a
-    // portfolio with different bundles/deadline/tie-break/tie rank).
+    // portfolio with different bundles/deadline/tie rank).
     // A disabled portfolio mixes only the flag: its other knobs are
     // inert and must not fragment the single-bundle key space. The
     // bundle list is mixed resolved so "empty = all" and the explicit
@@ -79,7 +79,7 @@ fingerprintOptions(const CompilerOptions &options)
     fp.mix(options.portfolio.enabled);
     if (options.portfolio.enabled) {
         fp.mix(static_cast<std::uint64_t>(options.portfolio.deadlineMs))
-            .mix(static_cast<int>(options.portfolio.tieBreak))
+            .mix(0) // retired tie-break slot: keeps race keys stable
             .mix(kPortfolioTieRankVersion);
         const std::vector<MapperKind> bundles =
             resolvedPortfolioBundles(options.portfolio);

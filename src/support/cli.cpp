@@ -88,22 +88,4 @@ parseUint64Flag(const std::string &flag, const std::string &text)
     return static_cast<std::uint64_t>(v);
 }
 
-unsigned
-parseUnsignedFlag(const std::string &flag, const std::string &text)
-{
-    std::uint64_t v = parseUint64Flag(flag, text);
-    if (v > std::numeric_limits<unsigned>::max())
-        rejectValue(flag, text);
-    return static_cast<unsigned>(v);
-}
-
-double
-parseDoubleFlag(const std::string &flag, const std::string &text)
-{
-    double v = 0.0;
-    if (!strictParseDouble(text, v))
-        rejectValue(flag, text);
-    return v;
-}
-
 } // namespace qc::cli

@@ -76,14 +76,6 @@ int parseIntFlag(const std::string &flag, const std::string &text);
 std::uint64_t parseUint64Flag(const std::string &flag,
                               const std::string &text);
 
-/** Unsigned 32-bit flag value (e.g. millisecond budgets). */
-unsigned parseUnsignedFlag(const std::string &flag,
-                           const std::string &text);
-
-/** Finite double flag value. */
-double parseDoubleFlag(const std::string &flag,
-                       const std::string &text);
-
 /** @} */
 
 } // namespace qc::cli

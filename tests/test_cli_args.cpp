@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the checked CLI numeric-parse seam (support/cli.hpp):
- * naqc's flag values go through these helpers, so `--jobs foo` is a
+ * the tools' numeric flags go through these helpers (the options
+ * codec's through its strict conversions), so `--jobs foo` is a
  * UsageError with exit code 2 instead of an uncaught
  * std::invalid_argument aborting the process.
  */
@@ -21,21 +22,13 @@ TEST(CliParse, AcceptsWellFormedValues)
     EXPECT_EQ(parseIntFlag("--day", "-3"), -3);
     EXPECT_EQ(parseIntFlag("--rows", "+2"), 2);
     EXPECT_EQ(parseUint64Flag("--seed", "20190131"), 20190131u);
-    EXPECT_EQ(parseUnsignedFlag("--timeout", "60000"), 60000u);
-    EXPECT_DOUBLE_EQ(parseDoubleFlag("--omega", "0.5"), 0.5);
-    EXPECT_DOUBLE_EQ(parseDoubleFlag("--omega", "1e-3"), 1e-3);
-    // Subnormal underflow (strtod sets ERANGE but returns a
-    // representable value) is accepted, unlike true overflow.
-    EXPECT_DOUBLE_EQ(parseDoubleFlag("--omega", "1e-310"), 1e-310);
 }
 
 TEST(CliParse, RejectsNonNumericText)
 {
     EXPECT_THROW(parseIntFlag("--jobs", "foo"), UsageError);
     EXPECT_THROW(parseIntFlag("--jobs", ""), UsageError);
-    EXPECT_THROW(parseDoubleFlag("--omega", "wat"), UsageError);
     EXPECT_THROW(parseUint64Flag("--seed", "seed"), UsageError);
-    EXPECT_THROW(parseUnsignedFlag("--timeout", "soon"), UsageError);
 }
 
 TEST(CliParse, RejectsTrailingGarbage)
@@ -43,7 +36,6 @@ TEST(CliParse, RejectsTrailingGarbage)
     // std::stoi would happily return 12 for all of these.
     EXPECT_THROW(parseIntFlag("--rows", "12x"), UsageError);
     EXPECT_THROW(parseIntFlag("--rows", "1 2"), UsageError);
-    EXPECT_THROW(parseDoubleFlag("--omega", "0.5abc"), UsageError);
     EXPECT_THROW(parseIntFlag("--rows", " 12"), UsageError);
 }
 
@@ -55,10 +47,7 @@ TEST(CliParse, RejectsOutOfRangeValues)
                  UsageError);
     EXPECT_THROW(parseIntFlag("--day", "2147483648"), UsageError);
     EXPECT_NO_THROW(parseIntFlag("--day", "2147483647"));
-    EXPECT_THROW(parseUnsignedFlag("--timeout", "4294967296"),
-                 UsageError);
     EXPECT_THROW(parseUint64Flag("--seed", "-1"), UsageError);
-    EXPECT_THROW(parseDoubleFlag("--omega", "1e999"), UsageError);
 }
 
 TEST(CliParse, DiagnosticNamesFlagAndTextWithExitCode2)

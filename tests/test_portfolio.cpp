@@ -605,10 +605,6 @@ TEST(PortfolioFingerprints, KnobsSeparateCacheKeys)
     EXPECT_NE(fingerprintOptions(racing),
               fingerprintOptions(short_deadline));
 
-    CompilerOptions tie = portfolioOptions({}, 10'000);
-    tie.portfolio.tieBreak = PortfolioTieBreak::ShortestDuration;
-    EXPECT_NE(fingerprintOptions(racing), fingerprintOptions(tie));
-
     // "Empty = all" and the explicit full list compile identically,
     // so they must hash identically.
     CompilerOptions explicit_all = portfolioOptions(

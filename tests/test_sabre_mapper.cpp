@@ -13,6 +13,8 @@
  * gate holds those margins; here we assert the invariant itself.
  */
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "core/passes.hpp"
@@ -438,6 +440,36 @@ TEST(SabrePlacement, OversizedProgramIsInfeasibleNotThrown)
     EXPECT_FALSE(r.hasProgram);
     EXPECT_EQ(r.status.code, CompileStatusCode::Infeasible);
     EXPECT_EQ(r.failedStage, "placement");
+}
+
+TEST(SabrePlacement, NegativeDecayIsInfeasibleNotAnAbort)
+{
+    // Decay -1 zeroes the window weights' sum over an even window, so
+    // every SWAP score would be NaN and the search would find no
+    // candidate; the stage refuses the options instead.
+    SabreOptions bad;
+    bad.decay = -1.0;
+    PipelineResult r =
+        Pipeline::forMachine(machineFor(GridTopology::ibmq16()))
+            .placement(passes::sabrePlacement(bad))
+            .routing(passes::liveRouting())
+            .scheduling(passes::trackingScheduling())
+            .build()
+            .run(benchmarkByName("Adder").circuit);
+    EXPECT_FALSE(r.hasProgram);
+    EXPECT_EQ(r.status.code, CompileStatusCode::Infeasible);
+    EXPECT_EQ(r.failedStage, "placement");
+    EXPECT_NE(r.status.message.find("decay"), std::string::npos)
+        << r.status.message;
+
+    Machine m = env().machineForDay(0);
+    const Circuit prog = benchmarkByName("Toffoli").circuit;
+    SabreOptions weight;
+    weight.lookaheadWeight = std::nan("");
+    EXPECT_THROW(sabrePlacementDetailed(m, prog, weight), FatalError);
+    weight = SabreOptions{};
+    weight.reliabilityWeight = HUGE_VAL;
+    EXPECT_THROW(sabrePlacementDetailed(m, prog, weight), FatalError);
 }
 
 TEST(SabrePlacement, KnobsChangeTheFingerprintedConfiguration)

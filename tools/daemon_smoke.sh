@@ -14,9 +14,12 @@
 #      re-verify against one-shot naqc on that day,
 #   3. restart the daemon on the same cache directory and assert the
 #      whole working set is served from the persistent disk cache,
-#   4. submit malformed QASM inline, an out-of-range protocol value
-#      and a 65 MiB payload, over naqcd's 64 MiB cap: each must get an
-#      err reply while the daemon keeps answering,
+#   4. submit Toffoli with naqc's own Sabre flags and diff it against
+#      one-shot naqc given the same flags; then submit malformed QASM
+#      inline, out-of-range and malformed protocol values (a budget
+#      above naqcd's limit, `reload --day abc`) and a 65 MiB payload,
+#      over naqcd's 64 MiB cap: each must get an err reply while the
+#      daemon keeps answering,
 #   5. open and close 300 connections: the daemon's virtual size
 #      must not grow with them,
 #   6. clean shutdown.
@@ -85,15 +88,17 @@ stat_counter() {
         | sed -n "s/.* $1=\([0-9]*\).*/\1/p" | head -1
 }
 
-# verify_bench NAME DAY RESULT_VAR: daemon output vs one-shot naqc.
+# verify_bench NAME DAY [FLAG...]: daemon output vs one-shot naqc, both
+# given the same compiler-option flags.
 verify_bench() {
     local name=$1 day=$2
+    shift 2
     "$NAQC" --dump-benchmark "$name" > "$WORK/$name.qasm" \
         || { fail "$name: --dump-benchmark"; return 1; }
-    "$NAQC" --qasm "$WORK/$name.qasm" --day "$day" \
+    "$NAQC" --qasm "$WORK/$name.qasm" --day "$day" "$@" \
         > "$WORK/$name.oneshot.qasm" 2>/dev/null \
         || { fail "$name: one-shot naqc (day $day)"; return 1; }
-    "$CLIENT" --socket "$SOCK" submit --bench "$name" --wait \
+    "$CLIENT" --socket "$SOCK" submit --bench "$name" --wait "$@" \
         > "$WORK/$name.daemon.qasm" 2> "$WORK/$name.result" \
         || { fail "$name: daemon submit ($(cat "$WORK/$name.result"))"
              return 1; }
@@ -103,7 +108,7 @@ verify_bench() {
     if ! diff <(grep -v '^//' "$WORK/$name.daemon.qasm") \
               <(grep -v '^//' "$WORK/$name.oneshot.qasm") \
               > /dev/null; then
-        fail "$name: daemon output differs from one-shot naqc (day $day)"
+        fail "$name $*: daemon output differs from one-shot naqc (day $day)"
         return 1
     fi
     return 0
@@ -171,7 +176,10 @@ CORRUPT=$(stat_counter disk_corrupt)
 VERIFIED=$(stat_counter disk_verified)
 HEALED=$(stat_counter disk_healed)
 
-echo "== phase 4: hostile input gets err replies =="
+echo "== phase 4: option keys and hostile input =="
+# naqc's flags reach naqcd through naqc-client: the restarted daemon
+# serves day 0.
+verify_bench Toffoli 0 --mapper sabre --sabre-iterations 0
 printf 'OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[5];\n' > "$WORK/bad1.qasm"
 printf 'OPENQASM 2.0;\nqreg q[2];\ncx q[1],q[1];\n' > "$WORK/bad2.qasm"
 printf 'OPENQASM 2.0;\nqreg q[2];\ncreg c[2];\nmeasure q[0] -> c[7];\n' \
@@ -189,6 +197,18 @@ rc=$?
 [ "$rc" = "1" ] && grep -q "^err reason=bad_portfolio_deadline_ms" \
     "$WORK/deadline.result" \
     || fail "deadline above UINT_MAX: exit $rc: $(cat "$WORK/deadline.result")"
+# A request may lower a job's budget but never raise it.
+for flags in "--timeout 60001" "--sabre-iterations 4"; do
+    "$CLIENT" --socket "$SOCK" submit --bench BV4 $flags --wait \
+        > /dev/null 2> "$WORK/limit.result"
+    rc=$?
+    [ "$rc" = "1" ] && grep -q "^err reason=" "$WORK/limit.result" \
+        || fail "$flags: exit $rc: $(cat "$WORK/limit.result")"
+done
+"$CLIENT" --socket "$SOCK" reload --day abc > /dev/null 2> "$WORK/day.result"
+rc=$?
+[ "$rc" = "1" ] && grep -q "^err reason=bad-day" "$WORK/day.result" \
+    || fail "reload --day abc: exit $rc: $(cat "$WORK/day.result")"
 # naqcd reads an oversized payload to its end, drops it and refuses
 # the submit.
 yes 'h q[0];' | head -c $((65 << 20)) > "$WORK/huge.qasm"

@@ -6,9 +6,8 @@
  * command per invocation:
  *
  *   naqc-client --socket PATH submit (--bench NAME | --qasm FILE)
- *               [--tenant T] [--priority P] [--mapper M] [--tag TEXT]
- *               [--portfolio[=K1,K2,...]] [--portfolio-deadline-ms MS]
- *               [--wait]
+ *               [--tenant T] [--priority P] [--tag TEXT] [--wait]
+ *               [--KEY VALUE ...]
  *   naqc-client --socket PATH status ID
  *   naqc-client --socket PATH wait ID
  *   naqc-client --socket PATH stats
@@ -20,6 +19,9 @@
  *
  * `submit --wait` prints the compiled QASM to stdout and the result
  * line to stderr, mirroring one-shot `naqc --qasm ... --out -`.
+ * `--KEY VALUE` (or `--KEY=VALUE`) is a CompilerOptions codec key as
+ * naqc spells it (`--sabre-iterations 0`, a bare `--portfolio`); it is
+ * forwarded as `key=value` for naqcd to check.
  */
 
 #include <fstream>
@@ -28,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "core/compiler.hpp"
 #include "daemon/net.hpp"
 #include "support/cli.hpp"
 #include "support/logging.hpp"
@@ -47,14 +50,8 @@ struct ClientCli
     std::string bench;
     std::string qasmPath;
     std::string calibrationPath;
-    std::string tenant;
-    std::string priority;
-    std::string mapper;
-    std::string tag;
     std::string day;
-    bool portfolio = false;
-    std::string portfolioBundles;  ///< comma list; empty = all
-    std::string portfolioDeadline; ///< ms; daemon validates
+    std::string submitArgs; ///< " key=value" per forwarded flag
     bool wait = false;
     bool help = false;
 };
@@ -66,7 +63,10 @@ printUsage(std::ostream &os)
           "commands:\n"
           "  submit   --bench NAME | --qasm FILE ('-' = stdin)\n"
           "           [--tenant T] [--priority high|normal|low]\n"
-          "           [--mapper NAME] [--tag TEXT] [--wait]\n"
+          "           [--tag TEXT] [--wait] and naqc's compiler "
+          "options:\n"
+          "           [--mapper NAME] [--omega W] [--timeout MS]\n"
+          "           [--sabre-iterations N] [--sabre-lookahead W]\n"
           "           [--portfolio[=K1,K2,...]] "
           "[--portfolio-deadline-ms MS]\n"
           "  status ID    non-blocking job state\n"
@@ -77,6 +77,16 @@ printUsage(std::ostream &os)
           "  shutdown     drain, then stop the daemon\n"
           "  ping         liveness check\n"
           "exit codes: 0 ok, 1 error, 2 bad flag, 3 rejected submit\n";
+}
+
+/** ` key=value` for a submit line, which splits on whitespace. */
+std::string
+submitArg(const std::string &key, const std::string &value)
+{
+    if (value.find_first_of(" \t") != std::string::npos)
+        throw cli::UsageError("value for " + key + " holds whitespace, "
+                              "which the protocol cannot carry");
+    return " " + key + "=" + value;
 }
 
 ClientCli
@@ -99,29 +109,19 @@ parseArgs(int argc, char **argv)
             cli.qasmPath = need(i, "--qasm");
         } else if (arg == "--calibration") {
             cli.calibrationPath = need(i, "--calibration");
-        } else if (arg == "--tenant") {
-            cli.tenant = need(i, "--tenant");
-        } else if (arg == "--priority") {
-            cli.priority = need(i, "--priority");
-        } else if (arg == "--mapper") {
-            cli.mapper = need(i, "--mapper");
-        } else if (arg == "--tag") {
-            cli.tag = need(i, "--tag");
-        } else if (arg == "--portfolio") {
-            cli.portfolio = true;
-        } else if (arg.rfind("--portfolio=", 0) == 0) {
-            cli.portfolio = true;
-            cli.portfolioBundles =
-                arg.substr(std::string("--portfolio=").size());
-        } else if (arg == "--portfolio-deadline-ms") {
-            cli.portfolioDeadline =
-                need(i, "--portfolio-deadline-ms");
+        } else if (arg == "--tenant" || arg == "--priority" ||
+                   arg == "--tag") {
+            cli.submitArgs += submitArg(arg.substr(2),
+                                        need(i, arg.c_str()));
         } else if (arg == "--day") {
             cli.day = need(i, "--day");
         } else if (arg == "--wait") {
             cli.wait = true;
         } else if (arg == "--help" || arg == "-h") {
             cli.help = true;
+        } else if (std::string key, value;
+                   compilerOptionFlag(argc, argv, i, key, value)) {
+            cli.submitArgs += submitArg(key, value);
         } else if (!arg.empty() && arg[0] == '-') {
             throw cli::UsageError("unknown flag '" + arg +
                                   "' (try --help)");
@@ -175,43 +175,13 @@ drainPayload(daemon::LineChannel &ch, std::ostream &os)
 }
 
 int
-finish(daemon::LineChannel &ch, bool expect_payload_on_ok,
-       std::ostream &payload_out)
-{
-    std::string reply;
-    if (!ch.readLine(reply)) {
-        std::cerr << "naqc-client: connection closed\n";
-        return kExitError;
-    }
-    const bool ok = reply.rfind("ok", 0) == 0;
-    std::cerr << reply << "\n";
-    if (!ok) {
-        return reply.find("reason=rejected:") != std::string::npos
-                   ? kExitRejected
-                   : kExitError;
-    }
-    if (expect_payload_on_ok && !drainPayload(ch, payload_out)) {
-        std::cerr << "naqc-client: truncated payload\n";
-        return kExitError;
-    }
-    return 0;
-}
-
-int
 run(const ClientCli &cli)
 {
-    std::string err;
-    int fd = daemon::connectUnix(cli.socketPath, err);
-    if (fd < 0) {
-        std::cerr << "naqc-client: " << err << "\n";
-        return kExitError;
-    }
-    daemon::LineChannel ch(fd);
-
+    std::ostringstream req;
+    req << cli.command;
+    std::string payload;
+    bool payload_on_ok = false; ///< the ok reply carries a block
     if (cli.command == "submit") {
-        std::ostringstream req;
-        req << "submit";
-        std::string payload;
         if (!cli.bench.empty()) {
             req << " bench=" << cli.bench;
         } else if (!cli.qasmPath.empty()) {
@@ -220,101 +190,60 @@ run(const ClientCli &cli)
         } else {
             QC_FATAL("submit needs --bench or --qasm");
         }
-        if (!cli.tenant.empty())
-            req << " tenant=" << cli.tenant;
-        if (!cli.priority.empty())
-            req << " priority=" << cli.priority;
-        if (!cli.mapper.empty())
-            req << " mapper=" << cli.mapper;
-        if (!cli.tag.empty())
-            req << " tag=" << cli.tag;
-        if (cli.portfolio)
-            req << " portfolio="
-                << (cli.portfolioBundles.empty()
-                        ? "all"
-                        : cli.portfolioBundles);
-        if (!cli.portfolioDeadline.empty())
-            req << " portfolio_deadline_ms="
-                << cli.portfolioDeadline;
+        req << cli.submitArgs;
         if (cli.wait)
             req << " wait=1";
-        if (!ch.writeLine(req.str()) ||
-            (!payload.empty() && !sendPayload(ch, payload))) {
-            std::cerr << "naqc-client: write failed\n";
-            return kExitError;
-        }
-        // A waited submit whose job failed carries no QASM payload;
-        // the "ok=0" result line on stderr is the whole story then.
-        std::string reply;
-        if (!ch.readLine(reply)) {
-            std::cerr << "naqc-client: connection closed\n";
-            return kExitError;
-        }
-        std::cerr << reply << "\n";
-        if (reply.rfind("ok", 0) != 0)
-            return reply.find("reason=rejected:") !=
-                           std::string::npos
-                       ? kExitRejected
-                       : kExitError;
-        if (cli.wait && reply.find(" ok=1") != std::string::npos &&
-            !drainPayload(ch, std::cout)) {
-            std::cerr << "naqc-client: truncated payload\n";
-            return kExitError;
-        }
-        return 0;
-    }
-
-    if (cli.command == "status" || cli.command == "wait") {
+        payload_on_ok = cli.wait;
+    } else if (cli.command == "status" || cli.command == "wait") {
         if (cli.positional.empty())
             QC_FATAL(cli.command, " needs a job ID");
-        if (!ch.writeLine(cli.command +
-                          " id=" + cli.positional[0])) {
-            std::cerr << "naqc-client: write failed\n";
-            return kExitError;
-        }
-        return finish(ch, false, std::cout);
-    }
-
-    if (cli.command == "stats") {
-        if (!ch.writeLine("stats")) {
-            std::cerr << "naqc-client: write failed\n";
-            return kExitError;
-        }
-        return finish(ch, true, std::cout);
-    }
-
-    if (cli.command == "reload") {
-        std::ostringstream req;
-        req << "reload";
-        std::string payload;
+        req << " id=" << cli.positional[0];
+    } else if (cli.command == "stats") {
+        payload_on_ok = true;
+    } else if (cli.command == "reload") {
         if (!cli.calibrationPath.empty()) {
             payload = readFileOrStdin(cli.calibrationPath);
             req << " cal=inline";
-            if (!cli.day.empty())
-                req << " day=" << cli.day;
-        } else if (!cli.day.empty()) {
-            req << " day=" << cli.day;
-        } else {
+        } else if (cli.day.empty()) {
             QC_FATAL("reload needs --day or --calibration");
         }
-        if (!ch.writeLine(req.str()) ||
-            (!payload.empty() && !sendPayload(ch, payload))) {
-            std::cerr << "naqc-client: write failed\n";
-            return kExitError;
-        }
-        return finish(ch, false, std::cout);
+        if (!cli.day.empty())
+            req << " day=" << cli.day;
+    } else if (cli.command != "drain" && cli.command != "shutdown" &&
+               cli.command != "ping") {
+        QC_FATAL("unknown command '", cli.command, "' (try --help)");
     }
 
-    if (cli.command == "drain" || cli.command == "shutdown" ||
-        cli.command == "ping") {
-        if (!ch.writeLine(cli.command)) {
-            std::cerr << "naqc-client: write failed\n";
-            return kExitError;
-        }
-        return finish(ch, false, std::cout);
+    std::string err;
+    int fd = daemon::connectUnix(cli.socketPath, err);
+    if (fd < 0) {
+        std::cerr << "naqc-client: " << err << "\n";
+        return kExitError;
     }
-
-    QC_FATAL("unknown command '", cli.command, "' (try --help)");
+    daemon::LineChannel ch(fd);
+    if (!ch.writeLine(req.str()) ||
+        (!payload.empty() && !sendPayload(ch, payload))) {
+        std::cerr << "naqc-client: write failed\n";
+        return kExitError;
+    }
+    std::string reply;
+    if (!ch.readLine(reply)) {
+        std::cerr << "naqc-client: connection closed\n";
+        return kExitError;
+    }
+    std::cerr << reply << "\n";
+    if (reply.rfind("ok", 0) != 0)
+        return reply.find("reason=rejected:") != std::string::npos
+                   ? kExitRejected
+                   : kExitError;
+    // A waited submit whose job failed carries no QASM payload; the
+    // "ok=0" result line on stderr is the whole story then.
+    if (payload_on_ok && reply.find(" ok=0") == std::string::npos &&
+        !drainPayload(ch, std::cout)) {
+        std::cerr << "naqc-client: truncated payload\n";
+        return kExitError;
+    }
+    return 0;
 }
 
 } // namespace

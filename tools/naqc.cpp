@@ -7,7 +7,10 @@
  * ring:N | linear:N | file:PATH) with one of the Table 1 mapper
  * variants against either synthetic or user-provided calibration
  * data, and writes hardware-ready OpenQASM.
- * Optionally Monte-Carlo-simulates the compiled program.
+ * Optionally Monte-Carlo-simulates the compiled program. The compiler
+ * options (--mapper, --omega, --timeout, --sabre-*, --portfolio*)
+ * are the CompilerOptions codec's keys (setCompilerOption), the same
+ * ones naqcd's submit takes.
  *
  * With --jobs (and/or --days), naqc switches to batch mode: every
  * --qasm program (the flag repeats) is compiled against each of the
@@ -70,27 +73,16 @@ struct CliOptions
     std::vector<std::string> qasmPaths;
     std::string outPath;
     std::string calibrationPath;
-    std::string mapper = "R-SMT*";
     std::string expected;
-    std::string topology; ///< spec string; empty = rows x cols grid
-    int rows = 2;
-    int cols = 8;
-    bool gridFlagsUsed = false; ///< deprecated --rows/--cols given
+    std::string topology = "grid:2x8"; ///< topologyFromSpec spec
     int day = 0;
     int days = 1;
     int jobs = 0;  ///< >0 switches to batch/service mode
     std::uint64_t seed = 20190131;
-    double omega = 0.5;
-    unsigned timeoutMs = 60'000;
-    int sabreIterations = 3;
-    int sabreLookahead = 20;
     int simulateTrials = 0;
-    bool portfolio = false;         ///< race mapper bundles
-    std::string portfolioBundles;   ///< comma list; empty = all
-    unsigned portfolioDeadlineMs = 10'000;
+    CompilerOptions compiler; ///< the codec keys, plus --verify
     bool report = false;
     bool trace = false;
-    bool verify = false;          ///< exit 4 on validation failure
     std::string verifyMutate;     ///< mutation kind to inject, if any
     bool help = false;
 
@@ -105,22 +97,26 @@ printUsage(std::ostream &os)
           "stdin; repeatable)\n"
           "  --out FILE           write compiled OpenQASM here "
           "(default: stdout)\n"
-          "  --mapper NAME        Qiskit | T-SMT | T-SMT* | R-SMT* | "
-          "GreedyV* | GreedyE* | GreedyE*+track | Sabre\n"
-          "                       (case-insensitive; aliases like "
-          "'rsmt*', 'track' or 'sabre' work)\n"
           "  --topology SPEC      machine coupling graph: "
           "grid:RxC | heavyhex:D |\n"
           "                       ring:N | linear:N | file:PATH "
           "(default grid:2x8,\n"
           "                       the paper's IBMQ16); see "
           "--list-topologies\n"
-          "  --rows R --cols C    deprecated alias for "
-          "--topology grid:RxC\n"
           "  --calibration FILE   calibration snapshot (see "
           "calibration_io.hpp)\n"
           "  --seed S --day D     synthetic calibration instead "
           "(defaults 20190131, 0)\n"
+          "  --days D             batch: compile against D days "
+          "starting at --day\n"
+          "  --jobs N             batch: run on a compile service "
+          "with N workers\n"
+          "compiler options (naqcd's submit keys, '-' for '_'; "
+          "--KEY=V works too):\n"
+          "  --mapper NAME        Qiskit | T-SMT | T-SMT* | R-SMT* | "
+          "GreedyV* | GreedyE* | GreedyE*+track | Sabre\n"
+          "                       (case-insensitive; aliases like "
+          "'rsmt*', 'track' or 'sabre' work)\n"
           "  --omega W            Eq. 12 readout weight for R-SMT*, "
           "in [0, 1] (default 0.5)\n"
           "  --timeout MS         SMT budget in milliseconds (default "
@@ -129,10 +125,6 @@ printUsage(std::ostream &os)
           "(default 3)\n"
           "  --sabre-lookahead W  Sabre lookahead window in CNOTs "
           "(default 20)\n"
-          "  --days D             batch: compile against D days "
-          "starting at --day\n"
-          "  --jobs N             batch: run on a compile service "
-          "with N workers\n"
           "  --portfolio[=K1,K2]  race mapper bundles concurrently and "
           "keep the best\n"
           "                       predicted success (bare flag: all "
@@ -141,6 +133,7 @@ printUsage(std::ostream &os)
           "                       cap each SMT bundle's solver budget "
           "in the race\n"
           "                       (default 10000; 0 = keep --timeout)\n"
+          "other options:\n"
           "  --simulate N         Monte-Carlo N trials on the noisy "
           "simulator\n"
           "  --expected BITS      correct answer for --simulate "
@@ -190,16 +183,8 @@ parseArgs(int argc, char **argv)
             opts.qasmPaths.push_back(need(i, "--qasm"));
         } else if (arg == "--out") {
             opts.outPath = need(i, "--out");
-        } else if (arg == "--mapper") {
-            opts.mapper = need(i, "--mapper");
         } else if (arg == "--topology") {
             opts.topology = need(i, "--topology");
-        } else if (arg == "--rows") {
-            opts.rows = cli::parseIntFlag("--rows", need(i, "--rows"));
-            opts.gridFlagsUsed = true;
-        } else if (arg == "--cols") {
-            opts.cols = cli::parseIntFlag("--cols", need(i, "--cols"));
-            opts.gridFlagsUsed = true;
         } else if (arg == "--list-topologies") {
             std::cout << topologySpecHelp() << "\n";
             std::exit(0);
@@ -224,34 +209,6 @@ parseArgs(int argc, char **argv)
             opts.jobs = cli::parseIntFlag("--jobs", need(i, "--jobs"));
             if (opts.jobs < 1)
                 QC_FATAL("--jobs must be >= 1");
-        } else if (arg == "--omega") {
-            opts.omega = cli::parseDoubleFlag("--omega",
-                                              need(i, "--omega"));
-        } else if (arg == "--timeout") {
-            opts.timeoutMs = cli::parseUnsignedFlag(
-                "--timeout", need(i, "--timeout"));
-        } else if (arg == "--sabre-iterations") {
-            opts.sabreIterations = cli::parseIntFlag(
-                "--sabre-iterations", need(i, "--sabre-iterations"));
-        } else if (arg == "--sabre-lookahead") {
-            opts.sabreLookahead = cli::parseIntFlag(
-                "--sabre-lookahead", need(i, "--sabre-lookahead"));
-        } else if (arg == "--portfolio") {
-            opts.portfolio = true;
-        } else if (arg.rfind("--portfolio=", 0) == 0) {
-            opts.portfolio = true;
-            opts.portfolioBundles =
-                arg.substr(std::string("--portfolio=").size());
-            // Validate now so a typo exits 2 before any compilation.
-            try {
-                parsePortfolioBundles(opts.portfolioBundles);
-            } catch (const FatalError &e) {
-                throw cli::UsageError(e.what());
-            }
-        } else if (arg == "--portfolio-deadline-ms") {
-            opts.portfolioDeadlineMs = cli::parseUnsignedFlag(
-                "--portfolio-deadline-ms",
-                need(i, "--portfolio-deadline-ms"));
         } else if (arg == "--simulate") {
             opts.simulateTrials = cli::parseIntFlag(
                 "--simulate", need(i, "--simulate"));
@@ -262,7 +219,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--trace") {
             opts.trace = true;
         } else if (arg == "--verify") {
-            opts.verify = true;
+            opts.compiler.verify = true;
         } else if (arg == "--verify-mutate") {
             opts.verifyMutate = need(i, "--verify-mutate");
             // Validate now so a typo exits 2 before any compilation.
@@ -273,53 +230,20 @@ parseArgs(int argc, char **argv)
             }
         } else if (arg == "--help" || arg == "-h") {
             opts.help = true;
+        } else if (std::string key, value;
+                   compilerOptionFlag(argc, argv, i, key, value)) {
+            // Checked now, so a typo exits 2 before any compilation.
+            try {
+                setCompilerOption(opts.compiler, key, value);
+            } catch (const FatalError &e) {
+                throw cli::UsageError(e.what());
+            }
         } else {
-            QC_FATAL("unknown argument '", arg, "' (try --help)");
+            throw cli::UsageError("unknown argument '" + arg +
+                                  "' (try --help)");
         }
     }
     return opts;
-}
-
-/**
- * The machine topology for this invocation — the one construction
- * point shared by single and batch mode. --rows/--cols stay as a
- * deprecated alias for --topology grid:RxC.
- */
-Topology
-topologyFromOptions(const CliOptions &opts)
-{
-    if (!opts.topology.empty()) {
-        if (opts.gridFlagsUsed)
-            QC_FATAL("--rows/--cols conflict with --topology; pass "
-                     "only --topology");
-        return topologyFromSpec(opts.topology);
-    }
-    if (opts.gridFlagsUsed)
-        std::cerr << "naqc: --rows/--cols are deprecated; use "
-                     "--topology grid:"
-                  << opts.rows << "x" << opts.cols << "\n";
-    return GridTopology(opts.rows, opts.cols);
-}
-
-/** CompilerOptions shared by single and batch mode. */
-CompilerOptions
-compilerOptionsFromCli(const CliOptions &opts)
-{
-    CompilerOptions copts;
-    copts.mapper = mapperKindFromName(opts.mapper);
-    copts.readoutWeight = opts.omega;
-    copts.smtTimeoutMs = opts.timeoutMs;
-    copts.sabreIterations = opts.sabreIterations;
-    copts.sabreLookahead = opts.sabreLookahead;
-    copts.verify = opts.verify;
-    if (opts.portfolio) {
-        copts.portfolio.enabled = true;
-        copts.portfolio.deadlineMs = opts.portfolioDeadlineMs;
-        if (!opts.portfolioBundles.empty())
-            copts.portfolio.bundles =
-                parsePortfolioBundles(opts.portfolioBundles);
-    }
-    return copts;
 }
 
 std::string
@@ -409,10 +333,8 @@ runBatch(const CliOptions &opts)
     if (opts.days < 1)
         QC_FATAL("--days must be >= 1");
 
-    Topology topo = topologyFromOptions(opts);
+    Topology topo = topologyFromSpec(opts.topology);
     CalibrationModel model(topo, opts.seed);
-
-    CompilerOptions copts = compilerOptionsFromCli(opts);
 
     std::vector<std::pair<std::string, Circuit>> programs;
     for (const std::string &path : opts.qasmPaths) {
@@ -427,7 +349,7 @@ runBatch(const CliOptions &opts)
     service::CompileService svc(sopts);
     std::vector<service::CompileRequest> requests =
         service::CompileService::dailyBatch(model, programs, opts.day,
-                                            opts.days, copts);
+                                            opts.days, opts.compiler);
     const std::size_t total = requests.size();
 
     // SIGINT must not abandon a half-printed run: the handler sets a
@@ -548,7 +470,7 @@ runCli(const CliOptions &opts)
     Circuit prog = parseQasm(readInput(opts.qasmPaths[0]),
                              "cli-program");
 
-    Topology topo = topologyFromOptions(opts);
+    Topology topo = topologyFromSpec(opts.topology);
     Calibration cal;
     if (!opts.calibrationPath.empty()) {
         cal = loadCalibration(readInput(opts.calibrationPath), topo,
@@ -558,8 +480,7 @@ runCli(const CliOptions &opts)
         cal = model.forDay(opts.day);
     }
 
-    CompilerOptions copts = compilerOptionsFromCli(opts);
-
+    const CompilerOptions &copts = opts.compiler;
     auto machine = std::make_shared<const Machine>(topo, cal);
     PipelineResult result;
     if (copts.portfolio.enabled) {

@@ -10,14 +10,18 @@
  * Protocol (one request line, one `ok`/`err` response line, optional
  * payload block terminated by a lone "."; a request line over 1 MiB
  * or a payload block over 64 MiB is discarded and answered
- * `err reason=too-large`):
+ * `err reason=too-large`, and a malformed integer such as `day=3x`
+ * `err reason=bad-<key>`):
  *
  *   submit bench=NAME|qasm=inline [tenant=T] [priority=high|normal|low]
- *          [mapper=NAME] [portfolio=all|K1,K2,...]
- *          [portfolio_deadline_ms=MS] [tag=TEXT] [wait=1]
+ *          [tag=TEXT] [wait=1] [KEY=VALUE ...]
  *          -- with qasm=inline, the QASM text follows as a payload
  *             block; the response to wait=1 carries the compiled QASM
- *             back the same way.
+ *             back the same way. Each other KEY is a CompilerOptions
+ *             codec key (mapper, omega, timeout, sabre_iterations,
+ *             sabre_lookahead, portfolio=all|K1,K2,...,
+ *             portfolio_deadline_ms); a timeout or sabre_iterations
+ *             above its default is refused.
  *   status id=N          non-blocking job state
  *   wait id=N            block until the job is done, return result
  *   stats                counters (one key=value line + tenant block)
@@ -27,26 +31,28 @@
  *   ping                 liveness check
  */
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "core/portfolio.hpp"
+#include "core/compiler.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/net.hpp"
 #include "daemon/protocol.hpp"
@@ -214,6 +220,30 @@ tokenSafe(const std::string &text)
     return out;
 }
 
+/**
+ * Read integer argument `key`, if present, into `out`. False, with the
+ * err reply written, when it is malformed or does not survive the
+ * round trip through T (`day=99999999999` for an int).
+ */
+template <typename T>
+bool
+intArg(daemon::LineChannel &ch, const daemon::Request &req,
+       const std::string &key, T &out)
+{
+    const std::optional<long long> v =
+        req.getInt(key, static_cast<long long>(out));
+    if (v && static_cast<long long>(static_cast<T>(*v)) == *v) {
+        out = static_cast<T>(*v);
+        return true;
+    }
+    ch.writeLine("err reason=bad-" + key);
+    return false;
+}
+
+/** The submit keys naqcd reads itself; the rest go to the codec. */
+constexpr std::string_view kSubmitFields[] = {
+    "bench", "qasm", "tenant", "priority", "tag", "wait"};
+
 std::string
 describeResult(const daemon::JobSnapshot &snap)
 {
@@ -331,37 +361,35 @@ handleSubmit(Server &srv, daemon::LineChannel &ch,
 
     CompilerOptions copts;
     try {
-        if (req.has("mapper"))
-            copts.mapper = mapperKindFromName(req.get("mapper"));
-        if (req.has("portfolio")) {
-            copts.portfolio.enabled = true;
-            const std::string spec = req.get("portfolio");
-            // "portfolio" as a bare flag parses as value "1"; both it
-            // and "all" mean every bundle.
-            if (spec != "all" && spec != "1")
-                copts.portfolio.bundles = parsePortfolioBundles(spec);
-        }
-        if (req.has("portfolio_deadline_ms")) {
-            const long long ms =
-                req.getInt("portfolio_deadline_ms", -1);
-            if (ms < 0 || ms > std::numeric_limits<unsigned>::max())
-                QC_FATAL("bad portfolio_deadline_ms '",
-                         req.get("portfolio_deadline_ms"), "'");
-            copts.portfolio.deadlineMs = static_cast<unsigned>(ms);
-        }
+        for (const auto &[key, value] : req.args)
+            if (std::find(std::begin(kSubmitFields),
+                          std::end(kSubmitFields),
+                          key) == std::end(kSubmitFields))
+                setCompilerOption(copts, key, value);
+        // A shared server: a request may lower a job's budget, never
+        // raise it.
+        const CompilerOptions limits;
+        if (copts.smtTimeoutMs > limits.smtTimeoutMs)
+            QC_FATAL("timeout '", req.get("timeout"),
+                     "' above naqcd's limit ", limits.smtTimeoutMs);
+        if (copts.sabreIterations > limits.sabreIterations)
+            QC_FATAL("sabre_iterations '", req.get("sabre_iterations"),
+                     "' above naqcd's limit ", limits.sabreIterations);
     } catch (const std::exception &e) {
         ch.writeLine("err reason=" + tokenSafe(e.what()));
         return;
     }
 
+    int wait = 0;
+    if (!intArg(ch, req, "wait", wait))
+        return;
     // No reply carries an unwaited job's program, so the daemon drops
     // it when the job finishes.
     const std::string tenant = req.get("tenant", "default");
-    const bool wait = req.getInt("wait", 0) != 0;
     const int num_clbits = circuit.numClbits();
     daemon::CompileDaemon::SubmitOutcome out = srv.daemon->submit(
         tenant, lane, std::move(circuit), copts, req.get("tag", "job"),
-        wait);
+        wait != 0);
     if (!out.accepted) {
         ch.writeLine("err reason=" + tokenSafe(out.reason));
         return;
@@ -388,26 +416,28 @@ void
 handleReload(Server &srv, daemon::LineChannel &ch,
              const daemon::Request &req)
 {
-    Calibration cal;
+    const bool inline_cal = req.get("cal") == "inline";
+    std::string text;
+    if (inline_cal && !readPayload(ch, text))
+        return;
     int day = 0;
+    if (!intArg(ch, req, "day", day))
+        return;
+    if (!inline_cal && !req.has("day")) {
+        ch.writeLine("err reason=reload-needs-day-or-inline-cal");
+        return;
+    }
+    Calibration cal;
     std::string source;
     try {
-        if (req.has("cal") && req.get("cal") == "inline") {
-            std::string text;
-            if (!readPayload(ch, text))
-                return;
+        if (inline_cal) {
             cal = loadCalibration(text, srv.topo, "reload");
-            day = static_cast<int>(req.getInt("day", 0));
             source = req.get("source", "reload-inline");
-        } else if (req.has("day")) {
-            day = static_cast<int>(req.getInt("day", 0));
+        } else {
             CalibrationModel model(srv.topo, srv.seed);
             cal = model.forDay(day);
             source = req.get(
                 "source", "model-day-" + std::to_string(day));
-        } else {
-            ch.writeLine("err reason=reload-needs-day-or-inline-cal");
-            return;
         }
     } catch (const std::exception &e) {
         ch.writeLine("err reason=" + tokenSafe(e.what()));
@@ -440,8 +470,9 @@ serveConnection(Server &srv, int fd)
             handleSubmit(srv, ch, req);
         } else if (req.command == "status" ||
                    req.command == "wait") {
-            const auto id = static_cast<std::uint64_t>(
-                req.getInt("id", 0));
+            std::uint64_t id = 0;
+            if (!intArg(ch, req, "id", id))
+                continue;
             daemon::JobSnapshot snap;
             const bool known = req.command == "wait"
                                    ? srv.daemon->wait(id, snap)
