@@ -121,33 +121,56 @@ parseOptionNumber(std::string_view key, const std::string &value)
     QC_FATAL("bad ", key, " '", value, "'");
 }
 
+/** The setter of a numeric field, parsed by parseOptionNumber. */
+template <auto Field>
+void
+setNumber(CompilerOptions &o, std::string_view key, const std::string &v)
+{
+    o.*Field = parseOptionNumber<std::decay_t<decltype(o.*Field)>>(key, v);
+}
+
+/** The kCompilerOptionKeys entry for `key`, or nullptr. */
+const CompilerOptionKey *
+findCompilerOption(std::string_view key)
+{
+    for (const CompilerOptionKey &entry : kCompilerOptionKeys)
+        if (entry.key == key)
+            return &entry;
+    return nullptr;
+}
+
 } // namespace
+
+const std::array<CompilerOptionKey, 7> kCompilerOptionKeys = {{
+    {"mapper",
+     [](CompilerOptions &o, std::string_view, const std::string &v) {
+         o.mapper = mapperKindFromName(v);
+     }},
+    {"omega", setNumber<&CompilerOptions::readoutWeight>},
+    {"timeout", setNumber<&CompilerOptions::smtTimeoutMs>},
+    {"sabre_iterations", setNumber<&CompilerOptions::sabreIterations>},
+    {"sabre_lookahead", setNumber<&CompilerOptions::sabreLookahead>},
+    {"portfolio",
+     [](CompilerOptions &o, std::string_view, const std::string &v) {
+         o.portfolio.enabled = true;
+         o.portfolio.bundles = v == "all" || v == "1"
+                                   ? std::vector<MapperKind>{}
+                                   : parsePortfolioBundles(v);
+     }},
+    {"portfolio_deadline_ms",
+     [](CompilerOptions &o, std::string_view k, const std::string &v) {
+         o.portfolio.deadlineMs = parseOptionNumber<unsigned>(k, v);
+     }},
+}};
 
 void
 setCompilerOption(CompilerOptions &options, std::string_view key,
                   const std::string &value)
 {
-    if (key == "mapper") {
-        options.mapper = mapperKindFromName(value);
-    } else if (key == "omega") {
-        options.readoutWeight = parseOptionNumber<double>(key, value);
-    } else if (key == "timeout") {
-        options.smtTimeoutMs = parseOptionNumber<unsigned>(key, value);
-    } else if (key == "sabre_iterations") {
-        options.sabreIterations = parseOptionNumber<int>(key, value);
-    } else if (key == "sabre_lookahead") {
-        options.sabreLookahead = parseOptionNumber<int>(key, value);
-    } else if (key == "portfolio") {
-        options.portfolio.enabled = true;
-        options.portfolio.bundles = value == "all" || value == "1"
-                                        ? std::vector<MapperKind>{}
-                                        : parsePortfolioBundles(value);
-    } else if (key == "portfolio_deadline_ms") {
-        options.portfolio.deadlineMs =
-            parseOptionNumber<unsigned>(key, value);
-    } else {
+    const CompilerOptionKey *entry = findCompilerOption(key);
+    if (!entry)
         QC_FATAL("unknown option '", key, "'");
-    }
+    entry->set(options, key, value);
 }
 
 bool
@@ -162,18 +185,14 @@ compilerOptionFlag(int argc, char **argv, int &i, std::string &key,
                          ? arg.substr(2)
                          : arg.substr(2, eq - 2));
     std::replace(name.begin(), name.end(), '-', '_');
-    if (std::find(std::begin(kCompilerOptionKeys),
-                  std::end(kCompilerOptionKeys),
-                  name) == std::end(kCompilerOptionKeys))
+    if (!findCompilerOption(name))
         return false;
     if (eq != std::string_view::npos)
         value = arg.substr(eq + 1);
     else if (name == "portfolio")
         value = "all";
-    else if (i + 1 < argc)
-        value = argv[++i];
     else
-        throw cli::UsageError("missing value for " + std::string(arg));
+        value = cli::flagValue(argc, argv, i);
     key = std::move(name);
     return true;
 }

@@ -15,6 +15,7 @@
 #ifndef QC_CORE_COMPILER_HPP
 #define QC_CORE_COMPILER_HPP
 
+#include <array>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -148,10 +149,16 @@ std::vector<MapperKind> resolvedPortfolioBundles(
  * @{
  */
 
-/** Every key setCompilerOption accepts. */
-inline constexpr std::string_view kCompilerOptionKeys[] = {
-    "mapper",    "omega", "timeout", "sabre_iterations", "sabre_lookahead",
-    "portfolio", "portfolio_deadline_ms"};
+/** One codec key and the setter that parses its value. */
+struct CompilerOptionKey
+{
+    std::string_view key;
+    void (*set)(CompilerOptions &options, std::string_view key,
+                const std::string &value);
+};
+
+/** The codec's one key table, which every reader of a key uses. */
+extern const std::array<CompilerOptionKey, 7> kCompilerOptionKeys;
 
 /**
  * Set the field `key` names from `value`. Numbers parse strictly (the

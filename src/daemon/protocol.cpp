@@ -2,8 +2,6 @@
 
 #include <cctype>
 
-#include "support/cli.hpp"
-
 namespace qc::daemon {
 
 std::vector<std::string>
@@ -31,18 +29,6 @@ Request::get(const std::string &key, const std::string &fallback) const
 {
     auto it = args.find(key);
     return it == args.end() ? fallback : it->second;
-}
-
-std::optional<long long>
-Request::getInt(const std::string &key, long long fallback) const
-{
-    auto it = args.find(key);
-    if (it == args.end())
-        return fallback;
-    long long value = 0;
-    if (!cli::strictParseLongLong(it->second, value))
-        return std::nullopt;
-    return value;
 }
 
 Request

@@ -16,7 +16,6 @@
 #define QC_DAEMON_PROTOCOL_HPP
 
 #include <map>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,13 +33,6 @@ struct Request
     /** Value for `key`, or `fallback` when absent. */
     std::string get(const std::string &key,
                     const std::string &fallback = "") const;
-
-    /**
-     * Integer value for `key`: `fallback` when absent, std::nullopt
-     * when present but not one whole base-10 integer ("3x", "yes").
-     */
-    std::optional<long long> getInt(const std::string &key,
-                                    long long fallback) const;
 
     bool has(const std::string &key) const
     {

@@ -9,19 +9,6 @@
 
 namespace qc {
 
-const char *
-topologyKindName(TopologyKind k)
-{
-    switch (k) {
-      case TopologyKind::Grid: return "grid";
-      case TopologyKind::HeavyHex: return "heavyhex";
-      case TopologyKind::Ring: return "ring";
-      case TopologyKind::Linear: return "linear";
-      case TopologyKind::Graph: return "graph";
-    }
-    QC_PANIC("unknown topology kind");
-}
-
 Topology::Topology(TopologyKind kind, int num_qubits,
                    std::vector<CouplingEdge> edges, std::string name,
                    int rows, int cols)

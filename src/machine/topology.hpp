@@ -59,8 +59,6 @@ enum class TopologyKind {
     Graph,    ///< arbitrary coupling graph (edge-list loaded)
 };
 
-const char *topologyKindName(TopologyKind k);
-
 /**
  * A connected, undirected coupling graph over qubits [0, numQubits).
  *

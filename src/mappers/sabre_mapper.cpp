@@ -110,9 +110,11 @@ cnotSequence(const Circuit &prog)
  *     themselves, adds at most 2 mu M more. epsilon =
  *     (3k + 24) * DBL_EPSILON * M = (6k + 48) mu M covers both with
  *     half again to spare, which also absorbs M's own rounding and
- *     underflow (at most 2^-1075 per operation, against M >= 2). When
- *     M is not finite or exceeds DBL_MAX / 8, epsilon is infinite and
- *     every step takes the fallback (c).
+ *     underflow (at most 2^-1075 per operation, against M >= 2).
+ *     Options under which M, or D * W (which bounds the window fold),
+ *     exceeds DBL_MAX / 8 are refused when the pass is built: a score
+ *     could round to infinity or NaN, and a step whose every score
+ *     does has no candidate. So epsilon is always finite.
  * (c) Lazy fallback. Otherwise the step runs the reference scan, but
  *     scores a candidate exactly only when K <= fl(best + tau) +
  *     epsilon, best the running exact best. A candidate above that has
@@ -281,6 +283,7 @@ SabreRoutePass::SabreRoutePass(const Machine &machine,
     // The window never holds more gates than the circuit has.
     const size_t max_window =
         std::min(static_cast<size_t>(options_.lookahead), num_cnots);
+    constexpr double kMaxBound = std::numeric_limits<double>::max() / 8;
     double weight = 1.0;
     double abs_weight_sum = 0.0;
     weightSum_.push_back(0.0);
@@ -291,11 +294,14 @@ SabreRoutePass::SabreRoutePass(const Machine &machine,
         const double m = diameter +
                          std::fabs(options_.lookaheadWeight) * look +
                          max_edge_term;
-        epsilon_.push_back(
-            m <= std::numeric_limits<double>::max() / 8
-                ? (3.0 * static_cast<double>(k) + 24.0) *
-                      std::numeric_limits<double>::epsilon() * m
-                : std::numeric_limits<double>::infinity());
+        if (!(m <= kMaxBound && diameter * weightSum_[k] <= kMaxBound))
+            QC_FATAL("sabre weights overflow a SWAP score: decay ",
+                     options_.decay, " over a window of ", max_window,
+                     " CNOTs, lookahead weight ",
+                     options_.lookaheadWeight, ", reliability weight ",
+                     options_.reliabilityWeight);
+        epsilon_.push_back((3.0 * static_cast<double>(k) + 24.0) *
+                           std::numeric_limits<double>::epsilon() * m);
         if (k == max_window)
             break;
         weight_.push_back(weight);
@@ -724,6 +730,8 @@ sabrePlacementDetailed(const Machine &machine, const Circuit &prog,
                  options.lookahead);
     // Decay -1 zeroes the window weights' sum over an even window, and
     // a non-finite weight makes every SWAP score NaN: no candidate.
+    // Finite weights too large for the machine's scores are refused
+    // when the routing pass is built.
     if (!std::isfinite(options.decay) || options.decay < 0.0 ||
         !std::isfinite(options.lookaheadWeight) ||
         !std::isfinite(options.reliabilityWeight))

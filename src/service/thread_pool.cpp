@@ -101,11 +101,4 @@ ThreadPool::cancelPending()
     return discarded.size();
 }
 
-std::size_t
-ThreadPool::queueDepth() const
-{
-    std::lock_guard<std::mutex> lock(mu_);
-    return queue_.size();
-}
-
 } // namespace qc::service

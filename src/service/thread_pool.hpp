@@ -78,14 +78,11 @@ class ThreadPool
     /** Stop accepting tasks; finish the queue; join the workers. */
     void shutdown();
 
-    /** Number of tasks queued but not yet started. */
-    std::size_t queueDepth() const;
-
   private:
     void enqueue(std::function<void()> task);
     void workerLoop();
 
-    mutable std::mutex mu_;
+    std::mutex mu_;
     std::condition_variable workAvailable_;
     std::condition_variable allIdle_;
     std::deque<std::function<void()>> queue_;

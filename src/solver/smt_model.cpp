@@ -135,9 +135,12 @@ solveSmtMappingImpl(const Machine &machine, const Circuit &prog,
     // this solve (the guard's destructor waits out an in-flight hook).
     CancelCallbackGuard interrupt_guard(options.cancel,
                                         [&ctx] { ctx.interrupt(); });
+    // z3 reads a 0 ms timeout as no timer at all, so a cap that rounds
+    // down to 0 (timeoutMs / 4 of a tiny budget) still gets 1 ms.
     auto set_budget = [&](unsigned cap_ms) {
         z3::params p(ctx);
-        p.set("timeout", std::min(remainingMs(deadline), cap_ms));
+        p.set("timeout",
+              std::max(1u, std::min(remainingMs(deadline), cap_ms)));
         solver.set(p);
     };
 

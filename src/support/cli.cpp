@@ -4,7 +4,10 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <limits>
+#include <sstream>
 
 namespace qc::cli {
 
@@ -86,6 +89,29 @@ parseUint64Flag(const std::string &flag, const std::string &text)
             text, v))
         rejectValue(flag, text);
     return static_cast<std::uint64_t>(v);
+}
+
+std::string
+flagValue(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc)
+        throw UsageError(std::string("missing value for ") + argv[i]);
+    return argv[++i];
+}
+
+std::string
+readFileOrStdin(const std::string &path)
+{
+    std::ostringstream text;
+    if (path == "-") {
+        text << std::cin.rdbuf();
+    } else {
+        std::ifstream in(path);
+        if (!in)
+            QC_FATAL("cannot read '", path, "'");
+        text << in.rdbuf();
+    }
+    return text.str();
 }
 
 } // namespace qc::cli

@@ -78,6 +78,18 @@ std::uint64_t parseUint64Flag(const std::string &flag,
 
 /** @} */
 
+/**
+ * The value after flag argv[i], advancing i to it; UsageError
+ * "missing value for <flag>" when argv[i] is the last argument.
+ */
+std::string flagValue(int argc, char **argv, int &i);
+
+/**
+ * The whole file a flag names, or stdin for "-"; FatalError "cannot
+ * read '<path>'" when it does not open.
+ */
+std::string readFileOrStdin(const std::string &path);
+
 } // namespace qc::cli
 
 #endif // QC_SUPPORT_CLI_HPP

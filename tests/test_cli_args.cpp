@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the checked CLI numeric-parse seam (support/cli.hpp):
+ * Tests for the checked CLI parse seam (support/cli.hpp):
  * the tools' numeric flags go through these helpers (the options
  * codec's through its strict conversions), so `--jobs foo` is a
  * UsageError with exit code 2 instead of an uncaught
@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "support/cli.hpp"
 
@@ -63,6 +65,26 @@ TEST(CliParse, DiagnosticNamesFlagAndTextWithExitCode2)
     // UsageError stays catchable through the generic FatalError
     // handler chain.
     EXPECT_THROW(parseIntFlag("--jobs", "foo"), FatalError);
+}
+
+TEST(CliParse, FlagValueAdvancesOrNamesTheFlag)
+{
+    std::vector<std::string> args = {"naqc", "--out", "x.qasm", "--out"};
+    std::vector<char *> argv;
+    for (std::string &a : args)
+        argv.push_back(a.data());
+    int i = 1;
+    EXPECT_EQ(flagValue(4, argv.data(), i), "x.qasm");
+    EXPECT_EQ(i, 2);
+    i = 3;
+    try {
+        flagValue(4, argv.data(), i);
+        FAIL() << "expected UsageError";
+    } catch (const UsageError &e) {
+        EXPECT_STREQ(e.what(), "missing value for --out");
+        EXPECT_EQ(e.exitCode(), 2);
+    }
+    EXPECT_EQ(i, 3);
 }
 
 } // namespace

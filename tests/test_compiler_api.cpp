@@ -174,7 +174,8 @@ TEST(OptionsCodec, EveryKeyIsPartOfTheCacheKey)
     // The base races, or portfolio_deadline_ms would be inert.
     CompilerOptions base;
     setCompilerOption(base, "portfolio", "all");
-    for (std::string_view key : kCompilerOptionKeys) {
+    for (const CompilerOptionKey &entry : kCompilerOptionKeys) {
+        const std::string_view key = entry.key;
         const KeySample *s = std::find_if(
             std::begin(kOffDefault), std::end(kOffDefault),
             [&](const KeySample &k) { return k.key == key; });

@@ -13,7 +13,6 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -135,11 +134,6 @@ TEST(Protocol, ParsesCommandArgsAndBareFlags)
     EXPECT_EQ(req.get("priority"), "high");
     EXPECT_EQ(req.get("wait"), "1"); // bare flag
     EXPECT_EQ(req.get("absent", "fallback"), "fallback");
-    EXPECT_EQ(req.getInt("wait", 0), 1);
-    EXPECT_EQ(req.getInt("absent", -7), -7);
-    EXPECT_EQ(req.getInt("bench", -7), std::nullopt); // malformed int
-    EXPECT_EQ(daemon::parseRequest("reload day=3x").getInt("day", 0),
-              std::nullopt);
     EXPECT_TRUE(daemon::parseRequest("").command.empty());
 }
 

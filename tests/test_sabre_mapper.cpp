@@ -444,23 +444,26 @@ TEST(SabrePlacement, OversizedProgramIsInfeasibleNotThrown)
 
 TEST(SabrePlacement, NegativeDecayIsInfeasibleNotAnAbort)
 {
-    // Decay -1 zeroes the window weights' sum over an even window, so
-    // every SWAP score would be NaN and the search would find no
-    // candidate; the stage refuses the options instead.
-    SabreOptions bad;
-    bad.decay = -1.0;
-    PipelineResult r =
-        Pipeline::forMachine(machineFor(GridTopology::ibmq16()))
-            .placement(passes::sabrePlacement(bad))
-            .routing(passes::liveRouting())
-            .scheduling(passes::trackingScheduling())
-            .build()
-            .run(benchmarkByName("Adder").circuit);
-    EXPECT_FALSE(r.hasProgram);
-    EXPECT_EQ(r.status.code, CompileStatusCode::Infeasible);
-    EXPECT_EQ(r.failedStage, "placement");
-    EXPECT_NE(r.status.message.find("decay"), std::string::npos)
-        << r.status.message;
+    // Decay -1 zeroes the window weights' sum over an even window, and
+    // decay 1e200 overflows it to infinity from the third window gate:
+    // either way every SWAP score would be NaN and the search would
+    // find no candidate, so the stage refuses the options instead.
+    for (double decay : {-1.0, 1e200}) {
+        SabreOptions bad;
+        bad.decay = decay;
+        PipelineResult r =
+            Pipeline::forMachine(machineFor(GridTopology::ibmq16()))
+                .placement(passes::sabrePlacement(bad))
+                .routing(passes::liveRouting())
+                .scheduling(passes::trackingScheduling())
+                .build()
+                .run(benchmarkByName("Adder").circuit);
+        EXPECT_FALSE(r.hasProgram) << decay;
+        EXPECT_EQ(r.status.code, CompileStatusCode::Infeasible) << decay;
+        EXPECT_EQ(r.failedStage, "placement") << decay;
+        EXPECT_NE(r.status.message.find("decay"), std::string::npos)
+            << r.status.message;
+    }
 
     Machine m = env().machineForDay(0);
     const Circuit prog = benchmarkByName("Toffoli").circuit;
@@ -469,6 +472,15 @@ TEST(SabrePlacement, NegativeDecayIsInfeasibleNotAnAbort)
     EXPECT_THROW(sabrePlacementDetailed(m, prog, weight), FatalError);
     weight = SabreOptions{};
     weight.reliabilityWeight = HUGE_VAL;
+    EXPECT_THROW(sabrePlacementDetailed(m, prog, weight), FatalError);
+    // Finite but too large: the window fold (decay 1e308 over two
+    // gates) or the lookahead term would overflow a score.
+    weight = SabreOptions{};
+    weight.decay = 1e308;
+    weight.lookahead = 2;
+    EXPECT_THROW(sabrePlacementDetailed(m, prog, weight), FatalError);
+    weight = SabreOptions{};
+    weight.lookaheadWeight = -1e308;
     EXPECT_THROW(sabrePlacementDetailed(m, prog, weight), FatalError);
 }
 

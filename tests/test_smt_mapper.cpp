@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 
 #include "mappers/smt_mapper.hpp"
 #include "solver/bnb_placer.hpp"
 #include "solver/objective.hpp"
 #include "test_util.hpp"
+#include "workloads/random_circuits.hpp"
 
 namespace qc {
 namespace {
@@ -252,6 +254,29 @@ TEST(SmtBundle, TinyTimeoutStillProducesRunnableCode)
     CompiledProgram cp = standardPipeline(m, opts).compile(b.circuit);
     validateLayout(cp.layout, b.circuit.numQubits(), m->numQubits());
     expectScheduleWellFormed(*m, cp.schedule);
+}
+
+/**
+ * A budget of 0 ms is a budget, not "no limit": z3 reads a 0 ms
+ * timeout as no timer, so every check still gets at least 1 ms. On
+ * this program (grid:8x8, day 0) the solve then takes about 5 s,
+ * nearly all of it building and loading the model; with an unlimited
+ * check it took about 55 s (one core of a shared x86-64 host).
+ */
+TEST(SmtBundle, ZeroTimeoutStaysBounded)
+{
+    GridTopology topo(8, 8);
+    CalibrationModel model(topo, test::kSeed);
+    auto m = std::make_shared<const Machine>(topo, model.forDay(0));
+    Circuit prog = makeRandomCircuit({16, 64, 2, true});
+    CompilerOptions opts = smtOptions(MapperKind::RSmtStar);
+    opts.smtTimeoutMs = 0;
+    const auto t0 = std::chrono::steady_clock::now();
+    PipelineResult r = standardPipeline(m, opts).run(prog);
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
+    EXPECT_LT(seconds, 20.0) << r.status.message;
 }
 
 TEST(SmtBundle, RejectsOversizedProgram)

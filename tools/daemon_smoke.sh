@@ -19,7 +19,8 @@
 #      inline, out-of-range and malformed protocol values (a budget
 #      above naqcd's limit, `reload --day abc`) and a 65 MiB payload,
 #      over naqcd's 64 MiB cap: each must get an err reply while the
-#      daemon keeps answering,
+#      daemon keeps answering; an R-SMT* job with a 0 ms budget must
+#      be answered within 20 s,
 #   5. open and close 300 connections: the daemon's virtual size
 #      must not grow with them,
 #   6. clean shutdown.
@@ -205,6 +206,15 @@ for flags in "--timeout 60001" "--sabre-iterations 4"; do
     [ "$rc" = "1" ] && grep -q "^err reason=" "$WORK/limit.result" \
         || fail "$flags: exit $rc: $(cat "$WORK/limit.result")"
 done
+# A zero budget is still a budget: z3 reads a 0 ms timeout as no
+# limit, so the solver must be given at least 1 ms.
+SECONDS=0
+"$CLIENT" --socket "$SOCK" submit --bench Adder --mapper 'rsmt*' \
+    --timeout 0 --wait > /dev/null 2> "$WORK/zero.result"
+rc=$?
+[ "$rc" = "0" ] && [ "$SECONDS" -lt 20 ] \
+    && grep -q "^ok " "$WORK/zero.result" \
+    || fail "--timeout 0: exit $rc after ${SECONDS} s: $(cat "$WORK/zero.result")"
 "$CLIENT" --socket "$SOCK" reload --day abc > /dev/null 2> "$WORK/day.result"
 rc=$?
 [ "$rc" = "1" ] && grep -q "^err reason=bad-day" "$WORK/day.result" \

@@ -15,7 +15,9 @@
  *   naqc-client --socket PATH drain | shutdown | ping
  *
  * Exit codes: 0 ok, 1 transport/protocol error, 2 bad command-line
- * flag, 3 rejected submit (over-quota or draining daemon).
+ * flag or a value the one-line request cannot carry (empty, or with
+ * whitespace or a control character), 3 rejected submit (over-quota
+ * or draining daemon).
  *
  * `submit --wait` prints the compiled QASM to stdout and the result
  * line to stderr, mirroring one-shot `naqc --qasm ... --out -`.
@@ -24,7 +26,8 @@
  * forwarded as `key=value` for naqcd to check.
  */
 
-#include <fstream>
+#include <algorithm>
+#include <cctype>
 #include <iostream>
 #include <sstream>
 #include <string>
@@ -79,42 +82,51 @@ printUsage(std::ostream &os)
           "exit codes: 0 ok, 1 error, 2 bad flag, 3 rejected submit\n";
 }
 
-/** ` key=value` for a submit line, which splits on whitespace. */
+/**
+ * `value` as one request-line token. The request is one line split on
+ * whitespace, so an empty value, or one holding whitespace or a
+ * control character (a newline would end the line early), is refused.
+ */
+const std::string &
+protocolValue(const std::string &key, const std::string &value)
+{
+    if (value.empty() ||
+        std::any_of(value.begin(), value.end(), [](unsigned char c) {
+            return std::isspace(c) || std::iscntrl(c);
+        }))
+        throw cli::UsageError("bad " + key + " '" + value +
+                              "': the protocol takes one token with no "
+                              "whitespace or control characters");
+    return value;
+}
+
+/** ` key=value` for a submit line. */
 std::string
 submitArg(const std::string &key, const std::string &value)
 {
-    if (value.find_first_of(" \t") != std::string::npos)
-        throw cli::UsageError("value for " + key + " holds whitespace, "
-                              "which the protocol cannot carry");
-    return " " + key + "=" + value;
+    return " " + key + "=" + protocolValue(key, value);
 }
 
 ClientCli
 parseArgs(int argc, char **argv)
 {
     ClientCli cli;
-    auto need = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc)
-            throw cli::UsageError(std::string("missing value for ") +
-                                  flag);
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        auto next = [&] { return cli::flagValue(argc, argv, i); };
         if (arg == "--socket") {
-            cli.socketPath = need(i, "--socket");
+            cli.socketPath = next();
         } else if (arg == "--bench") {
-            cli.bench = need(i, "--bench");
+            cli.bench = protocolValue("bench", next());
         } else if (arg == "--qasm") {
-            cli.qasmPath = need(i, "--qasm");
+            cli.qasmPath = next();
         } else if (arg == "--calibration") {
-            cli.calibrationPath = need(i, "--calibration");
+            cli.calibrationPath = next();
         } else if (arg == "--tenant" || arg == "--priority" ||
                    arg == "--tag") {
-            cli.submitArgs += submitArg(arg.substr(2),
-                                        need(i, arg.c_str()));
+            cli.submitArgs += submitArg(arg.substr(2), next());
         } else if (arg == "--day") {
-            cli.day = need(i, "--day");
+            cli.day = protocolValue("day", next());
         } else if (arg == "--wait") {
             cli.wait = true;
         } else if (arg == "--help" || arg == "-h") {
@@ -132,21 +144,6 @@ parseArgs(int argc, char **argv)
         }
     }
     return cli;
-}
-
-std::string
-readFileOrStdin(const std::string &path)
-{
-    std::ostringstream text;
-    if (path == "-") {
-        text << std::cin.rdbuf();
-    } else {
-        std::ifstream in(path);
-        if (!in)
-            QC_FATAL("cannot read '", path, "'");
-        text << in.rdbuf();
-    }
-    return text.str();
 }
 
 /** Send payload lines followed by the "." terminator. */
@@ -185,7 +182,7 @@ run(const ClientCli &cli)
         if (!cli.bench.empty()) {
             req << " bench=" << cli.bench;
         } else if (!cli.qasmPath.empty()) {
-            payload = readFileOrStdin(cli.qasmPath);
+            payload = cli::readFileOrStdin(cli.qasmPath);
             req << " qasm=inline";
         } else {
             QC_FATAL("submit needs --bench or --qasm");
@@ -197,12 +194,12 @@ run(const ClientCli &cli)
     } else if (cli.command == "status" || cli.command == "wait") {
         if (cli.positional.empty())
             QC_FATAL(cli.command, " needs a job ID");
-        req << " id=" << cli.positional[0];
+        req << " id=" << protocolValue("id", cli.positional[0]);
     } else if (cli.command == "stats") {
         payload_on_ok = true;
     } else if (cli.command == "reload") {
         if (!cli.calibrationPath.empty()) {
-            payload = readFileOrStdin(cli.calibrationPath);
+            payload = cli::readFileOrStdin(cli.calibrationPath);
             req << " cal=inline";
         } else if (cli.day.empty()) {
             QC_FATAL("reload needs --day or --calibration");

@@ -171,20 +171,15 @@ CliOptions
 parseArgs(int argc, char **argv)
 {
     CliOptions opts;
-    auto need = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc)
-            throw cli::UsageError(std::string("missing value for ") +
-                                  flag);
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        auto next = [&] { return cli::flagValue(argc, argv, i); };
         if (arg == "--qasm") {
-            opts.qasmPaths.push_back(need(i, "--qasm"));
+            opts.qasmPaths.push_back(next());
         } else if (arg == "--out") {
-            opts.outPath = need(i, "--out");
+            opts.outPath = next();
         } else if (arg == "--topology") {
-            opts.topology = need(i, "--topology");
+            opts.topology = next();
         } else if (arg == "--list-topologies") {
             std::cout << topologySpecHelp() << "\n";
             std::exit(0);
@@ -193,27 +188,24 @@ parseArgs(int argc, char **argv)
                 std::cout << b.name << "\n";
             std::exit(0);
         } else if (arg == "--dump-benchmark") {
-            std::cout << emitQasm(
-                benchmarkByName(need(i, "--dump-benchmark")).circuit);
+            std::cout << emitQasm(benchmarkByName(next()).circuit);
             std::exit(0);
         } else if (arg == "--calibration") {
-            opts.calibrationPath = need(i, "--calibration");
+            opts.calibrationPath = next();
         } else if (arg == "--seed") {
-            opts.seed = cli::parseUint64Flag("--seed",
-                                             need(i, "--seed"));
+            opts.seed = cli::parseUint64Flag("--seed", next());
         } else if (arg == "--day") {
-            opts.day = cli::parseIntFlag("--day", need(i, "--day"));
+            opts.day = cli::parseIntFlag("--day", next());
         } else if (arg == "--days") {
-            opts.days = cli::parseIntFlag("--days", need(i, "--days"));
+            opts.days = cli::parseIntFlag("--days", next());
         } else if (arg == "--jobs") {
-            opts.jobs = cli::parseIntFlag("--jobs", need(i, "--jobs"));
+            opts.jobs = cli::parseIntFlag("--jobs", next());
             if (opts.jobs < 1)
                 QC_FATAL("--jobs must be >= 1");
         } else if (arg == "--simulate") {
-            opts.simulateTrials = cli::parseIntFlag(
-                "--simulate", need(i, "--simulate"));
+            opts.simulateTrials = cli::parseIntFlag("--simulate", next());
         } else if (arg == "--expected") {
-            opts.expected = need(i, "--expected");
+            opts.expected = next();
         } else if (arg == "--report") {
             opts.report = true;
         } else if (arg == "--trace") {
@@ -221,7 +213,7 @@ parseArgs(int argc, char **argv)
         } else if (arg == "--verify") {
             opts.compiler.verify = true;
         } else if (arg == "--verify-mutate") {
-            opts.verifyMutate = need(i, "--verify-mutate");
+            opts.verifyMutate = next();
             // Validate now so a typo exits 2 before any compilation.
             try {
                 mutationKindFromName(opts.verifyMutate);
@@ -244,22 +236,6 @@ parseArgs(int argc, char **argv)
         }
     }
     return opts;
-}
-
-std::string
-readInput(const std::string &path)
-{
-    if (path == "-") {
-        std::ostringstream oss;
-        oss << std::cin.rdbuf();
-        return oss.str();
-    }
-    std::ifstream in(path);
-    if (!in)
-        QC_FATAL("cannot open '", path, "'");
-    std::ostringstream oss;
-    oss << in.rdbuf();
-    return oss.str();
 }
 
 /** The per-job batch table (shared by full and interrupted runs). */
@@ -340,8 +316,8 @@ runBatch(const CliOptions &opts)
     for (const std::string &path : opts.qasmPaths) {
         std::string name =
             path == "-" ? std::string("stdin") : path;
-        programs.emplace_back(name,
-                              parseQasm(readInput(path), name));
+        programs.emplace_back(
+            name, parseQasm(cli::readFileOrStdin(path), name));
     }
 
     service::ServiceOptions sopts;
@@ -467,14 +443,14 @@ runCli(const CliOptions &opts)
         QC_FATAL("multiple --qasm inputs need batch mode "
                  "(add --jobs N or --days D)");
 
-    Circuit prog = parseQasm(readInput(opts.qasmPaths[0]),
+    Circuit prog = parseQasm(cli::readFileOrStdin(opts.qasmPaths[0]),
                              "cli-program");
 
     Topology topo = topologyFromSpec(opts.topology);
     Calibration cal;
     if (!opts.calibrationPath.empty()) {
-        cal = loadCalibration(readInput(opts.calibrationPath), topo,
-                              opts.calibrationPath);
+        cal = loadCalibration(cli::readFileOrStdin(opts.calibrationPath),
+                              topo, opts.calibrationPath);
     } else {
         CalibrationModel model(topo, opts.seed);
         cal = model.forDay(opts.day);

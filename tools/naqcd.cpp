@@ -41,7 +41,6 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
@@ -121,44 +120,36 @@ DaemonCli
 parseArgs(int argc, char **argv)
 {
     DaemonCli cli;
-    auto need = [&](int &i, const char *flag) -> std::string {
-        if (i + 1 >= argc)
-            throw cli::UsageError(std::string("missing value for ") +
-                                  flag);
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
+        auto next = [&] { return cli::flagValue(argc, argv, i); };
         if (arg == "--socket") {
-            cli.socketPath = need(i, "--socket");
+            cli.socketPath = next();
         } else if (arg == "--topology") {
-            cli.topology = need(i, "--topology");
+            cli.topology = next();
         } else if (arg == "--calibration") {
-            cli.calibrationPath = need(i, "--calibration");
+            cli.calibrationPath = next();
         } else if (arg == "--seed") {
-            cli.seed = cli::parseUint64Flag("--seed", need(i, "--seed"));
+            cli.seed = cli::parseUint64Flag("--seed", next());
         } else if (arg == "--day") {
-            cli.day = cli::parseIntFlag("--day", need(i, "--day"));
+            cli.day = cli::parseIntFlag("--day", next());
         } else if (arg == "--threads") {
-            cli.opts.threads =
-                cli::parseIntFlag("--threads", need(i, "--threads"));
+            cli.opts.threads = cli::parseIntFlag("--threads", next());
         } else if (arg == "--shards") {
-            cli.opts.shards =
-                cli::parseIntFlag("--shards", need(i, "--shards"));
+            cli.opts.shards = cli::parseIntFlag("--shards", next());
         } else if (arg == "--cache-dir") {
-            cli.opts.cacheDir = need(i, "--cache-dir");
+            cli.opts.cacheDir = next();
         } else if (arg == "--cache-capacity") {
-            cli.opts.cacheCapacity = cli::parseUint64Flag(
-                "--cache-capacity", need(i, "--cache-capacity"));
+            cli.opts.cacheCapacity =
+                cli::parseUint64Flag("--cache-capacity", next());
         } else if (arg == "--cache-bytes") {
-            cli.opts.cacheByteCapacity = cli::parseUint64Flag(
-                "--cache-bytes", need(i, "--cache-bytes"));
+            cli.opts.cacheByteCapacity =
+                cli::parseUint64Flag("--cache-bytes", next());
         } else if (arg == "--tenant-quota") {
-            cli.opts.tenantQuota = cli::parseUint64Flag(
-                "--tenant-quota", need(i, "--tenant-quota"));
+            cli.opts.tenantQuota =
+                cli::parseUint64Flag("--tenant-quota", next());
         } else if (arg == "--warm-top") {
-            cli.opts.warmTopK =
-                cli::parseIntFlag("--warm-top", need(i, "--warm-top"));
+            cli.opts.warmTopK = cli::parseIntFlag("--warm-top", next());
             if (cli.opts.warmTopK < 0)
                 throw cli::UsageError("--warm-top must be >= 0");
         } else if (arg == "--help" || arg == "-h") {
@@ -222,18 +213,21 @@ tokenSafe(const std::string &text)
 
 /**
  * Read integer argument `key`, if present, into `out`. False, with the
- * err reply written, when it is malformed or does not survive the
- * round trip through T (`day=99999999999` for an int).
+ * err reply written, when it is not one whole base-10 integer ("3x",
+ * "yes") or does not survive the round trip through T
+ * (`day=99999999999` for an int).
  */
 template <typename T>
 bool
 intArg(daemon::LineChannel &ch, const daemon::Request &req,
        const std::string &key, T &out)
 {
-    const std::optional<long long> v =
-        req.getInt(key, static_cast<long long>(out));
-    if (v && static_cast<long long>(static_cast<T>(*v)) == *v) {
-        out = static_cast<T>(*v);
+    if (!req.has(key))
+        return true;
+    long long v = 0;
+    if (cli::strictParseLongLong(req.get(key), v) &&
+        static_cast<long long>(static_cast<T>(v)) == v) {
+        out = static_cast<T>(v);
         return true;
     }
     ch.writeLine("err reason=bad-" + key);

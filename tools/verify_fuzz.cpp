@@ -46,17 +46,11 @@ parseArgs(int argc, char **argv)
     FuzzCli cli;
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
-        auto need = [&](const char *flag) -> std::string {
-            if (i + 1 >= argc)
-                throw cli::UsageError(
-                    std::string("missing value for ") + flag);
-            return argv[++i];
-        };
+        auto next = [&] { return cli::flagValue(argc, argv, i); };
         if (arg == "--seed") {
-            cli.seed = cli::parseUint64Flag("--seed", need("--seed"));
+            cli.seed = cli::parseUint64Flag("--seed", next());
         } else if (arg == "--rounds") {
-            cli.rounds =
-                cli::parseIntFlag("--rounds", need("--rounds"));
+            cli.rounds = cli::parseIntFlag("--rounds", next());
         } else if (arg == "--verbose") {
             cli.verbose = true;
         } else if (arg == "--help" || arg == "-h") {
