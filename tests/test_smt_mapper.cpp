@@ -276,7 +276,7 @@ TEST(SmtBundle, ZeroTimeoutStaysBounded)
     const double seconds = std::chrono::duration<double>(
                                std::chrono::steady_clock::now() - t0)
                                .count();
-    EXPECT_LT(seconds, 20.0) << r.status.message;
+    EXPECT_LT(seconds, 30.0) << r.status.message;
 }
 
 TEST(SmtBundle, RejectsOversizedProgram)
